@@ -23,9 +23,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"cheetah/internal/hashutil"
@@ -461,23 +459,33 @@ type survivorSet struct {
 func (s *survivorSet) add(fwd []uint64, chunkN int) {
 	s.seen += chunkN
 	s.remaining -= chunkN
-	if need := len(s.rows) + len(fwd); need > cap(s.rows) {
-		projected := need + int(float64(s.remaining)*float64(need)/float64(s.seen))
-		projected += projected / 8 // headroom against rate drift
-		grown := make([]int, len(s.rows), projected)
-		copy(grown, s.rows)
-		s.rows = grown
-	}
+	s.rows = growProjected(s.rows, len(fwd), s.seen, s.remaining)
 	for _, id := range fwd {
 		s.rows = append(s.rows, int(id))
 	}
 }
 
+// growProjected makes room in rows for extra more survivors. A regrowth
+// is sized from the rate observed so far — len(rows)+extra survivors
+// out of seen entries, with remaining entries still to come — plus
+// headroom, instead of append's doubling.
+func growProjected(rows []int, extra, seen, remaining int) []int {
+	need := len(rows) + extra
+	if need <= cap(rows) {
+		return rows
+	}
+	projected := need + int(float64(remaining)*float64(need)/float64(seen))
+	projected += projected / 8 // headroom against rate drift
+	grown := make([]int, len(rows), projected)
+	copy(grown, rows)
+	return grown
+}
+
 // --- sorted result assembly -------------------------------------------
 
-// lexRows sorts rows in the exact order of Result.Sort (lexicographic on
-// the \x00-joined row key) without allocating per comparison: cells
-// never contain \x00, so element-wise comparison is equivalent.
+// lexRows orders rows element-wise without allocating per comparison.
+// For cells without NUL this is exactly the order of the NUL-joined row
+// key (Result.Sort checks for NUL and picks the sort).
 type lexRows [][]string
 
 func (r lexRows) Len() int      { return len(r) }
@@ -492,21 +500,10 @@ func (r lexRows) Less(i, j int) bool {
 	return len(a) < len(b)
 }
 
-// sortedResult builds a Result whose rows are already in Result.Sort
-// order. Cells containing NUL collide with Result.Sort's join
-// separator, where element-wise comparison can disagree; that rare
-// shape falls back to the legacy sort.
+// sortedResult builds a Result whose rows are in Result.Sort order.
 func sortedResult(columns []string, rows [][]string) *Result {
 	res := &Result{Columns: columns, Rows: rows}
-	for _, row := range rows {
-		for _, cell := range row {
-			if strings.IndexByte(cell, 0) >= 0 {
-				res.Sort()
-				return res
-			}
-		}
-	}
-	sort.Sort(lexRows(rows))
+	res.Sort()
 	return res
 }
 
@@ -575,7 +572,7 @@ func batchFilter(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	trusted := opts.Pruner == nil
 	if !trusted {
 		sv := survivorSet{remaining: q.Table.NumRows()}
-		err := spanPass(q.Table, spans, opts.Workers, len(cols), true, br.buf, encFor, dp,
+		err := spanPass(q.Table, nil, spans, opts.Workers, len(cols), true, br.buf, encFor, dp,
 			func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
 				br.run.Traffic.EntriesSent += b.N
 				fwd := br.buf.compactForwarded(ids, dec, b.N)
@@ -595,7 +592,7 @@ func batchFilter(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 		// COUNT(*) needs no row ids at all: the forward count is the
 		// answer.
 		count := 0
-		err := spanPass(q.Table, spans, opts.Workers, len(cols), false, br.buf, encFor, dp,
+		err := spanPass(q.Table, nil, spans, opts.Workers, len(cols), false, br.buf, encFor, dp,
 			func(b *switchsim.Batch, dec []switchsim.Decision, _ []uint64) {
 				br.run.Traffic.EntriesSent += b.N
 				n := b.N
@@ -613,7 +610,7 @@ func batchFilter(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 		return br.finish(pruner, res, count), nil
 	}
 	sv := survivorSet{remaining: q.Table.NumRows()}
-	if err := spanPass(q.Table, spans, opts.Workers, len(cols), true, br.buf, encFor, dp,
+	if err := spanPass(q.Table, nil, spans, opts.Workers, len(cols), true, br.buf, encFor, dp,
 		func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
 			br.run.Traffic.EntriesSent += b.N
 			fwd := br.buf.compactForwarded(ids, dec, b.N)
@@ -950,78 +947,76 @@ func batchJoin(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	lc := q.Table.Schema().MustIndex(q.LeftKey)
 	rc := q.Right.Schema().MustIndex(q.RightKey)
 	br := newBatchRun(pruner)
-	dp := opts.dataplaneFor(pruner)
 	// Probe-side block skipping (skip.go): a right block where every
 	// distinct left key tests Bloom-negative holds no joinable row.
 	// Every right pass — including the symmetric build pass — uses the
 	// same spans: a key that would train the B-side filter out of a
 	// skipped block cannot exist on the left, so no left row loses its
 	// forward, and the master's execJoin re-check stays exact.
-	leftSpans := fullSpans(q.Table)
-	rightSpans := fullSpans(q.Right)
+	l, r := newJoinInput(q.Table, lc, nil), newJoinInput(q.Right, rc, nil)
 	if opts.Skip {
-		rightSpans, br.run.Skipped = joinRightSpans(q.Table, lc, q.Right, rc)
+		r.spans, br.run.Skipped = joinRightSpans(q.Table, lc, q.Right, rc)
 	}
-	encAFor := func(t *table.Table) partEncoder { return encSide(t, lc, prune.SideA, opts.Seed) }
-	encBFor := func(t *table.Table) partEncoder { return encSide(t, rc, prune.SideB, opts.Seed) }
+	left, right, err := batchJoinCore(pruner, opts.dataplaneFor(pruner), br.buf, opts.Workers, opts.Seed, l, r, &br.run.Traffic)
+	if err != nil {
+		putStreamBuf(br.buf)
+		return nil, err
+	}
+	res := sortedResult(joinColumns(q), joinPairs(q, left, right))
+	return br.finish(pruner, res, len(left)+len(right)), nil
+}
 
-	pass := func(t *table.Table, spans []span, encFor func(*table.Table) partEncoder, sv *survivorSet) error {
-		return spanPass(t, spans, opts.Workers, 2, sv != nil, br.buf, encFor, dp,
+// batchJoinCore runs a whole Bloom join — build and probe passes —
+// through dp on the chunked batch pipeline, adds the passes' traffic to
+// tr, and returns both sides' surviving rows. It is the fallback of
+// fusedJoinCore for dataplanes that withhold direct program access.
+func batchJoinCore(j *prune.Join, dp BatchDataplane, buf *streamBuf, workers int, seed uint64,
+	l, r joinInput, tr *Traffic) (left, right []int, err error) {
+	pass := func(in *joinInput, side prune.JoinSide, sv *survivorSet) error {
+		encFor := func(t *table.Table) partEncoder { return encSide(t, in.kc, side, seed) }
+		return spanPass(in.t, in.sel, in.spans, workers, 2, sv != nil, buf, encFor, dp,
 			func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-				br.run.Traffic.EntriesSent += b.N
+				tr.EntriesSent += b.N
 				if sv == nil {
 					// Build pass: count forwards without collecting.
 					n := b.N
 					for _, d := range dec[:b.N] {
 						n -= int(d)
 					}
-					br.run.Traffic.Forwarded += n
+					tr.Forwarded += n
 					return
 				}
-				fwd := br.buf.compactForwarded(ids, dec, b.N)
-				br.run.Traffic.Forwarded += len(fwd)
+				fwd := buf.compactForwarded(ids, dec, b.N)
+				tr.Forwarded += len(fwd)
 				sv.add(fwd, b.N)
 			})
 	}
-	var left, right survivorSet
-	var err error
-	if pruner.Asymmetric() {
+	ls := survivorSet{remaining: l.size()}
+	rs := survivorSet{remaining: r.size()}
+	if j.Asymmetric() {
 		// §4.3's small-table optimization: side A streams once, unpruned,
 		// while its filter trains; then side B is pruned against it.
-		left.remaining = q.Table.NumRows()
-		err = pass(q.Table, leftSpans, encAFor, &left)
-		pruner.StartProbe()
-		right.remaining = q.Right.NumRows()
+		err = pass(&l, prune.SideA, &ls)
+		j.StartProbe()
 		if err == nil {
-			err = pass(q.Right, rightSpans, encBFor, &right)
+			err = pass(&r, prune.SideB, &rs)
 		}
 	} else {
 		// Pass 1: both key columns build the filters; packets terminate
 		// at the switch. Pass 2: full entries, pruned by the other side.
-		err = pass(q.Table, leftSpans, encAFor, nil)
+		err = pass(&l, prune.SideA, nil)
 		if err == nil {
-			err = pass(q.Right, rightSpans, encBFor, nil)
+			err = pass(&r, prune.SideB, nil)
 		}
-		pruner.StartProbe()
-		left.remaining = q.Table.NumRows()
+		j.StartProbe()
 		if err == nil {
-			err = pass(q.Table, leftSpans, encAFor, &left)
+			err = pass(&l, prune.SideA, &ls)
 		}
-		right.remaining = q.Right.NumRows()
 		if err == nil {
-			err = pass(q.Right, rightSpans, encBFor, &right)
+			err = pass(&r, prune.SideB, &rs)
 		}
 	}
-	if err != nil {
-		putStreamBuf(br.buf)
-		return nil, err
-	}
-	res, err := execJoin(q, left.rows, right.rows)
-	if err != nil {
-		putStreamBuf(br.buf)
-		return nil, err
-	}
-	return br.finish(pruner, res, len(left.rows)+len(right.rows)), nil
+	return ls.rows, rs.rows, err
 }
 
 func batchSkyline(q *Query, opts CheetahOptions) (*CheetahRun, error) {

@@ -664,8 +664,10 @@ func cheetahSkyline(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 		vals[len(cols)] = uint64(r)
 		run.Traffic.EntriesSent++
 		if pruner.Process(vals) == switchsim.Forward {
+			// The id the packet carries out: after a swap it is the
+			// displaced point's, not the arriving row's.
 			run.Traffic.Forwarded++
-			survivors = append(survivors, r)
+			survivors = append(survivors, int(vals[len(cols)]))
 		}
 	})
 	// Control-plane drain of the stored points at FIN: the entry ids

@@ -62,13 +62,13 @@ func execFilter(q *Query, t *table.Table, rows []int) (*Result, error) {
 	for i, p := range q.Predicates {
 		cols[i] = t.Schema().MustIndex(p.Col)
 	}
+	// One predicate callback for the whole scan, reading the current row.
+	var r int
+	holds := func(v int) bool { return q.Predicates[v].Eval(t, cols[v], r) }
 	count := 0
 	var out [][]string
-	for _, r := range rows {
-		ok := q.Formula.Eval(func(v int) bool {
-			return q.Predicates[v].Eval(t, cols[v], r)
-		})
-		if !ok {
+	for _, r = range rows {
+		if !q.Formula.Eval(holds) {
 			continue
 		}
 		count++
@@ -88,9 +88,7 @@ func execFilter(q *Query, t *table.Table, rows []int) (*Result, error) {
 	for i, d := range t.Schema() {
 		names[i] = d.Name
 	}
-	res := &Result{Columns: names, Rows: out}
-	res.Sort()
-	return res, nil
+	return sortedResult(names, out), nil
 }
 
 // execDistinct returns the distinct value tuples of the requested columns.
@@ -216,25 +214,55 @@ func execHaving(q *Query, t *table.Table, rows []int) (*Result, error) {
 // a canonical summary of the inner-join output that stays comparable at
 // benchmark scale.
 func execJoin(q *Query, leftRows, rightRows []int) (*Result, error) {
+	return sortedResult(joinColumns(q), joinPairs(q, leftRows, rightRows)), nil
+}
+
+// joinColumns names execJoin's result columns.
+func joinColumns(q *Query) []string { return []string{q.LeftKey, "pairs"} }
+
+// joinPairs returns execJoin's rows, unsorted: per key present on both
+// sides (restricted to the given rows), the key and its pair count.
+// Sharded joins concatenate these per shard and sort once. Keys are
+// compared in their canonical text form; the side with fewer rows is
+// indexed and the other only probes the index.
+func joinPairs(q *Query, leftRows, rightRows []int) [][]string {
 	lc := q.Table.Schema().MustIndex(q.LeftKey)
 	rc := q.Right.Schema().MustIndex(q.RightKey)
-	leftCount := map[string]int{}
-	for _, r := range leftRows {
-		leftCount[cellString(q.Table, lc, r)]++
+	small, st, sc := leftRows, q.Table, lc
+	big, bt, bc := rightRows, q.Right, rc
+	if len(rightRows) < len(leftRows) {
+		small, st, sc, big, bt, bc = rightRows, q.Right, rc, leftRows, q.Table, lc
 	}
-	pairs := map[string]int{}
-	for _, r := range rightRows {
-		k := cellString(q.Right, rc, r)
-		if n := leftCount[k]; n > 0 {
-			pairs[k] += n
+	// counts[2i] and counts[2i+1] are key i's row counts on the indexed
+	// and the probing side.
+	idx := make(map[string]int, len(small))
+	keys := make([]string, 0, len(small))
+	counts := make([]int, 0, 2*len(small))
+	for _, r := range small {
+		k := cellString(st, sc, r)
+		i, ok := idx[k]
+		if !ok {
+			i = len(keys)
+			idx[k] = i
+			keys = append(keys, k)
+			counts = append(counts, 0, 0)
+		}
+		counts[2*i]++
+	}
+	for _, r := range big {
+		if i, ok := idx[cellString(bt, bc, r)]; ok {
+			counts[2*i+1]++
 		}
 	}
-	res := &Result{Columns: []string{q.LeftKey, "pairs"}}
-	for k, n := range pairs {
-		res.Rows = append(res.Rows, []string{k, strconv.Itoa(n)})
+	rows := make([][]string, 0, len(keys))
+	cells := make([]string, 0, 2*len(keys))
+	for i, k := range keys {
+		if n := counts[2*i] * counts[2*i+1]; n > 0 {
+			cells = append(cells, k, strconv.Itoa(n))
+			rows = append(rows, cells[len(cells)-2:len(cells):len(cells)])
+		}
 	}
-	res.Sort()
-	return res, nil
+	return rows
 }
 
 // execSkyline returns the distinct coordinate tuples on the Pareto curve

@@ -237,9 +237,12 @@ func evalLikePred(bits []uint32, col []string, like string, pr *prune.Predicate,
 // on the fly), then one truth-table sweep counts — and, when rows is
 // non-nil, collects — the survivors. Filtering is stateless, so plain
 // row order yields the same totals as the worker interleave, and the
-// result assembly sorts. ok=false means the pruner's predicate layout
-// does not match the query's wire format; the caller falls back.
-func fusedFilterScan(t *table.Table, preds []FilterPred, cols []int, f *prune.Filter,
+// result assembly sorts. A non-nil sel scans that row selection of t
+// (spans then index sel): each chunk's wire values are gathered through
+// it, and survivors are reported as t's rows. ok=false means the
+// pruner's predicate layout does not match the query's wire format; the
+// caller falls back.
+func fusedFilterScan(t *table.Table, sel []int, preds []FilterPred, cols []int, f *prune.Filter,
 	spans []span, rows *[]int) (sent, fwd int, ok bool) {
 	sPreds, tt := f.FusedSpec()
 	for i := range sPreds {
@@ -251,14 +254,27 @@ func fusedFilterScan(t *table.Table, preds []FilterPred, cols []int, f *prune.Fi
 		ints []int64
 		strs []string
 		like string
+		// Chunk gathers of a row selection.
+		selInts []int64
+		selStrs []string
 	}
 	wires := make([]wire, len(preds))
 	for i := range preds {
 		if preds[i].SwitchSupported() {
 			wires[i] = wire{ints: t.Int64Col(cols[i])}
+			if sel != nil {
+				wires[i].selInts = make([]int64, 0, fusedFilterChunk)
+			}
 		} else {
 			wires[i] = wire{strs: t.StringCol(cols[i]), like: preds[i].Like}
+			if sel != nil {
+				wires[i].selStrs = make([]string, 0, fusedFilterChunk)
+			}
 		}
+	}
+	remaining := 0
+	for _, sp := range spans {
+		remaining += sp.hi - sp.lo
 	}
 	bp := filterBitsPool.Get().(*[]uint32)
 	bits := *bp
@@ -275,25 +291,45 @@ func fusedFilterScan(t *table.Table, preds []FilterPred, cols []int, f *prune.Fi
 				pr := &sPreds[i]
 				w := &wires[pr.ValIdx]
 				bit := uint32(1) << uint(i)
-				if w.ints != nil {
+				switch {
+				case w.ints != nil && sel == nil:
 					evalIntPred(bits, w.ints[lo:hi], pr, bit)
-				} else {
+				case w.ints != nil:
+					w.selInts = w.selInts[:0]
+					for _, r := range sel[lo:hi] {
+						w.selInts = append(w.selInts, w.ints[r])
+					}
+					evalIntPred(bits, w.selInts, pr, bit)
+				case sel == nil:
 					evalLikePred(bits, w.strs[lo:hi], w.like, pr, bit)
+				default:
+					w.selStrs = w.selStrs[:0]
+					for _, r := range sel[lo:hi] {
+						w.selStrs = append(w.selStrs, w.strs[r])
+					}
+					evalLikePred(bits, w.selStrs, w.like, pr, bit)
 				}
 			}
 			sent += m
-			if rows == nil {
-				for _, bv := range bits {
-					if tt.Lookup(bv) {
-						fwd++
-					}
+			remaining -= m
+			passed := 0
+			for _, bv := range bits {
+				if tt.Lookup(bv) {
+					passed++
 				}
+			}
+			fwd += passed
+			if rows == nil {
 				continue
 			}
+			*rows = growProjected(*rows, passed, sent, remaining)
 			for j, bv := range bits {
 				if tt.Lookup(bv) {
-					fwd++
-					*rows = append(*rows, lo+j)
+					if sel != nil {
+						*rows = append(*rows, sel[lo+j])
+					} else {
+						*rows = append(*rows, lo+j)
+					}
 				}
 			}
 		}
@@ -332,7 +368,7 @@ func fusedFilter(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 	if trusted && q.CountOnly {
 		rowsPtr = nil
 	}
-	sent, fwd, ok := fusedFilterScan(q.Table, q.Predicates, cols, f, spans, rowsPtr)
+	sent, fwd, ok := fusedFilterScan(q.Table, nil, q.Predicates, cols, f, spans, rowsPtr)
 	if !ok {
 		return nil, false, nil
 	}
@@ -905,46 +941,119 @@ func fusedHaving(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 
 // --- JOIN --------------------------------------------------------------
 
-// fusedJoinBuild trains mem with one side's key fingerprints. Bloom Add
-// is commutative, so plain row order over the spans suffices. rows
-// non-nil marks the asymmetric build: every entry forwards (and
-// collects) while the filter trains.
-func fusedJoinBuild(t *table.Table, kc int, seed uint64, mem sketch.Membership,
-	spans []span, rows *[]int) (sent, fwd int) {
-	fpr := newRowFP(t, []int{kc}, seed)
-	for _, sp := range spans {
-		sent += sp.hi - sp.lo
-		for r := sp.lo; r < sp.hi; r++ {
-			mem.Add(fpr.fp(r))
-		}
-	}
-	if rows != nil {
-		for _, sp := range spans {
-			for r := sp.lo; r < sp.hi; r++ {
-				*rows = append(*rows, r)
-			}
-		}
-		fwd = sent
-	}
-	return sent, fwd
+// joinInput is one JOIN side as a pass scans it: table t's key column
+// kc over spans. A non-nil sel makes the side a row selection of t (a
+// hash shard): spans then index sel, and rows are reported as sel's
+// entries — t's coordinates, which the master's joinPairs reads.
+type joinInput struct {
+	t     *table.Table
+	kc    int
+	spans []span
+	sel   []int
 }
 
-// fusedJoinProbe collects the rows of one side whose key fingerprint
-// tests positive in the other side's filter. Contains does not mutate,
-// so plain row order over the spans suffices.
-func fusedJoinProbe(t *table.Table, kc int, seed uint64, mem sketch.Membership,
-	spans []span, rows *[]int) (sent, fwd int) {
-	fpr := newRowFP(t, []int{kc}, seed)
-	for _, sp := range spans {
-		sent += sp.hi - sp.lo
-		for r := sp.lo; r < sp.hi; r++ {
-			if mem.Contains(fpr.fp(r)) {
-				fwd++
-				*rows = append(*rows, r)
+// newJoinInput scans every row of t, or of its selection sel.
+func newJoinInput(t *table.Table, kc int, sel []int) joinInput {
+	n := t.NumRows()
+	if sel != nil {
+		n = len(sel)
+	}
+	return joinInput{t: t, kc: kc, spans: []span{{0, n}}, sel: sel}
+}
+
+// size is the number of entries one pass over the side sends.
+func (in *joinInput) size() int {
+	n := 0
+	for _, sp := range in.spans {
+		n += sp.hi - sp.lo
+	}
+	return n
+}
+
+// row maps a scan ordinal to its row of t.
+func (in *joinInput) row(o int) int {
+	if in.sel != nil {
+		return in.sel[o]
+	}
+	return o
+}
+
+// probe appends to rows the side's rows whose fingerprint (fps, in scan
+// order) tests positive in mem.
+func (in *joinInput) probe(fps []uint64, mem sketch.Membership, rows []int) []int {
+	k := 0
+	for _, sp := range in.spans {
+		for o := sp.lo; o < sp.hi; o++ {
+			if mem.Contains(fps[k]) {
+				rows = append(rows, in.row(o))
+			}
+			k++
+		}
+	}
+	return rows
+}
+
+// scan streams the side once, fingerprinting each key, and appends to
+// rows the rows whose fingerprint keep accepts.
+func (in *joinInput) scan(seed uint64, keep func(fp uint64) bool, rows []int) []int {
+	fpr := newRowFP(in.t, []int{in.kc}, seed)
+	seen, total := 0, in.size()
+	for _, sp := range in.spans {
+		for o := sp.lo; o < sp.hi; o++ {
+			seen++
+			if r := in.row(o); keep(fpr.fp(r)) {
+				if len(rows) == cap(rows) {
+					rows = growProjected(rows, 1, seen, total-seen)
+				}
+				rows = append(rows, r)
 			}
 		}
 	}
-	return sent, fwd
+	return rows
+}
+
+// fusedJoinCore runs a whole Bloom join — build and probe — over the two
+// sides as fused loops on j's filters, deposits the stats, and returns
+// both sides' surviving rows and the traffic. Every key is fingerprinted
+// once. Bloom Add is commutative and Contains does not mutate, so any
+// order that completes a filter before probing against it matches the
+// batched passes' totals: the symmetric join keeps only the smaller
+// side's fingerprints and streams the larger side once, training its
+// filter while probing the other's. j must be in its build phase.
+func fusedJoinCore(j *prune.Join, seed uint64, l, r joinInput) (left, right []int, tr Traffic) {
+	fa, fb := j.FusedFilters()
+	nl, nr := l.size(), r.size()
+	if j.Asymmetric() {
+		// §4.3's small-table optimization: side A streams once, unpruned,
+		// while its filter trains; then side B is pruned against it.
+		left = l.scan(seed, func(fp uint64) bool { fa.Add(fp); return true }, make([]int, 0, nl))
+		j.StartProbe()
+		right = r.scan(seed, fa.Contains, nil)
+		tr.EntriesSent = nl + nr
+	} else {
+		// The batched protocol's pass 1 trains both filters (packets
+		// terminate at the switch) and pass 2 sends both sides again,
+		// each pruned by the other's filter.
+		kept, streamed := &r, &l
+		keptF, streamedF := fb, fa
+		if nl < nr {
+			kept, streamed, keptF, streamedF = &l, &r, fa, fb
+		}
+		fps := make([]uint64, 0, kept.size())
+		kept.scan(seed, func(fp uint64) bool { fps = append(fps, fp); keptF.Add(fp); return false }, nil)
+		sRows := streamed.scan(seed, func(fp uint64) bool { streamedF.Add(fp); return keptF.Contains(fp) }, nil)
+		j.StartProbe()
+		kRows := kept.probe(fps, streamedF, nil)
+		left, right = sRows, kRows
+		if kept == &l {
+			left, right = kRows, sRows
+		}
+		tr.EntriesSent = 2 * (nl + nr)
+	}
+	tr.Forwarded = len(left) + len(right)
+	tr.MasterProcessed = tr.Forwarded
+	j.AddStats(uint64(tr.EntriesSent), uint64(tr.EntriesSent-tr.Forwarded))
+	return left, right, tr
 }
 
 func fusedJoin(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
@@ -971,49 +1080,13 @@ func fusedJoin(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 	lc := q.Table.Schema().MustIndex(q.LeftKey)
 	rc := q.Right.Schema().MustIndex(q.RightKey)
 	run := &CheetahRun{PrunerName: j.Name()}
-	leftSpans := fullSpans(q.Table)
-	rightSpans := fullSpans(q.Right)
+	l, r := newJoinInput(q.Table, lc, nil), newJoinInput(q.Right, rc, nil)
 	if opts.Skip {
-		rightSpans, run.Skipped = joinRightSpans(q.Table, lc, q.Right, rc)
+		r.spans, run.Skipped = joinRightSpans(q.Table, lc, q.Right, rc)
 	}
-	fa, fb := j.FusedFilters()
-	var left, right []int
-	sent, fwd, pruned := 0, 0, 0
-	if j.Asymmetric() {
-		s, f := fusedJoinBuild(q.Table, lc, opts.Seed, fa, leftSpans, &left)
-		sent += s
-		fwd += f
-		j.StartProbe()
-		s, f = fusedJoinProbe(q.Right, rc, opts.Seed, fa, rightSpans, &right)
-		sent += s
-		fwd += f
-		pruned += s - f
-	} else {
-		s, _ := fusedJoinBuild(q.Table, lc, opts.Seed, fa, leftSpans, nil)
-		sent += s
-		pruned += s
-		s, _ = fusedJoinBuild(q.Right, rc, opts.Seed, fb, rightSpans, nil)
-		sent += s
-		pruned += s
-		j.StartProbe()
-		s, f := fusedJoinProbe(q.Table, lc, opts.Seed, fb, leftSpans, &left)
-		sent += s
-		fwd += f
-		pruned += s - f
-		s, f = fusedJoinProbe(q.Right, rc, opts.Seed, fa, rightSpans, &right)
-		sent += s
-		fwd += f
-		pruned += s - f
-	}
-	j.AddStats(uint64(sent), uint64(pruned))
-	run.Traffic.EntriesSent = sent
-	run.Traffic.Forwarded = fwd
-	res, err := execJoin(q, left, right)
-	if err != nil {
-		return nil, true, err
-	}
-	run.Result = res
-	run.Traffic.MasterProcessed = len(left) + len(right)
+	left, right, tr := fusedJoinCore(j, opts.Seed, l, r)
+	run.Traffic = tr
+	run.Result = sortedResult(joinColumns(q), joinPairs(q, left, right))
 	run.Stats = j.Stats()
 	return run, true, nil
 }
@@ -1023,10 +1096,16 @@ func fusedJoin(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 // fusedSkylineScan streams the dimension tuples through the skyline
 // pool in worker-interleave order. The pool's swap/drop logic (and its
 // stats) live in Process; the fused win is the devirtualized call and
-// the in-loop survivor collection.
-func fusedSkylineScan(t *table.Table, cols []int, s *prune.Skyline, workers int,
+// the in-loop survivor collection. Each forwarded entry reports the id
+// Process leaves in the packet — the point the packet carries out,
+// which differs from the arriving row after a swap. A non-nil sel scans
+// that row selection of t, in selection order, with t's rows as ids.
+func fusedSkylineScan(t *table.Table, sel []int, cols []int, s *prune.Skyline, workers int,
 	rows *[]int) (sent, fwd int) {
 	n := t.NumRows()
+	if sel != nil {
+		n = len(sel)
+	}
 	if n == 0 {
 		return 0, 0
 	}
@@ -1046,13 +1125,16 @@ func fusedSkylineScan(t *table.Table, cols []int, s *prune.Skyline, workers int,
 				continue
 			}
 			done++
+			if sel != nil {
+				r = sel[r]
+			}
 			for i, src := range ints {
 				vals[i] = uint64(src[r])
 			}
 			vals[len(ints)] = uint64(r)
 			if s.Process(vals) == switchsim.Forward {
 				fwd++
-				*rows = append(*rows, r)
+				*rows = append(*rows, int(vals[len(ints)]))
 			}
 		}
 	}
@@ -1079,7 +1161,7 @@ func fusedSkyline(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 	}
 	run := &CheetahRun{PrunerName: s.Name()}
 	var survivors []int
-	sent, fwd := fusedSkylineScan(q.Table, cols, s, opts.Workers, &survivors)
+	sent, fwd := fusedSkylineScan(q.Table, nil, cols, s, opts.Workers, &survivors)
 	run.Traffic.EntriesSent = sent
 	run.Traffic.Forwarded = fwd
 	for _, e := range s.Drain() {

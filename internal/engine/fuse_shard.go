@@ -28,7 +28,7 @@ func (se *shardExec) fusable(opts ShardedOptions) bool {
 
 // fusedGatherPass runs one FILTER or SKYLINE shard stream (including
 // SKYLINE's control-plane drain) and returns the shard's surviving row
-// ids in shard-local coordinates.
+// ids in q.Table's coordinates.
 func (se *shardExec) fusedGatherPass(opts ShardedOptions) ([]int, bool) {
 	if !se.fusable(opts) {
 		return nil, false
@@ -44,12 +44,12 @@ func (se *shardExec) fusedGatherPass(opts ShardedOptions) ([]int, bool) {
 		for i, p := range q.Predicates {
 			cols[i] = q.Table.Schema().MustIndex(p.Col)
 		}
-		spans := fullSpans(q.Table)
-		if opts.Skip {
+		spans := []span{{0, se.numRows()}}
+		if opts.Skip && se.sel == nil {
 			spans, se.skipped = filterSpans(q, q.Table, cols)
 		}
 		var rows []int
-		sent, fwd, ok := fusedFilterScan(q.Table, q.Predicates, cols, f, spans, &rows)
+		sent, fwd, ok := fusedFilterScan(q.Table, se.sel, q.Predicates, cols, f, spans, &rows)
 		if !ok {
 			return nil, false
 		}
@@ -68,7 +68,7 @@ func (se *shardExec) fusedGatherPass(opts ShardedOptions) ([]int, bool) {
 			cols[i] = q.Table.Schema().MustIndex(c)
 		}
 		var rows []int
-		sent, fwd := fusedSkylineScan(q.Table, cols, sk, opts.Workers, &rows)
+		sent, fwd := fusedSkylineScan(q.Table, se.sel, cols, sk, opts.Workers, &rows)
 		se.traffic.EntriesSent = sent
 		se.traffic.Forwarded = fwd
 		for _, e := range sk.Drain() {
@@ -221,55 +221,4 @@ func (se *shardExec) fusedHavingCandidates(opts ShardedOptions, kc, vc int) (map
 	se.traffic.EntriesSent = sent
 	se.traffic.Forwarded = fwd
 	return cand, true
-}
-
-// fusedJoinPass runs one shard's whole Bloom join (build and probe
-// passes over the co-located shard pair) and returns the surviving rows
-// of both sides.
-func (se *shardExec) fusedJoinPass(opts ShardedOptions, lc, rc int) (left, right []int, ok bool) {
-	if !se.fusable(opts) {
-		return nil, nil, false
-	}
-	j, isJ := se.pruner.(*prune.Join)
-	if !isJ || j.Phase() != prune.PhaseBuild {
-		return nil, nil, false
-	}
-	q := se.q
-	leftSpans := fullSpans(q.Table)
-	rightSpans := fullSpans(q.Right)
-	if opts.Skip {
-		rightSpans, se.skipped = joinRightSpans(q.Table, lc, q.Right, rc)
-	}
-	fa, fb := j.FusedFilters()
-	sent, fwd, pruned := 0, 0, 0
-	if j.Asymmetric() {
-		s, f := fusedJoinBuild(q.Table, lc, opts.Seed, fa, leftSpans, &left)
-		sent += s
-		fwd += f
-		j.StartProbe()
-		s, f = fusedJoinProbe(q.Right, rc, opts.Seed, fa, rightSpans, &right)
-		sent += s
-		fwd += f
-		pruned += s - f
-	} else {
-		s, _ := fusedJoinBuild(q.Table, lc, opts.Seed, fa, leftSpans, nil)
-		sent += s
-		pruned += s
-		s, _ = fusedJoinBuild(q.Right, rc, opts.Seed, fb, rightSpans, nil)
-		sent += s
-		pruned += s
-		j.StartProbe()
-		s, f := fusedJoinProbe(q.Table, lc, opts.Seed, fb, leftSpans, &left)
-		sent += s
-		fwd += f
-		pruned += s - f
-		s, f = fusedJoinProbe(q.Right, rc, opts.Seed, fa, rightSpans, &right)
-		sent += s
-		fwd += f
-		pruned += s - f
-	}
-	j.AddStats(uint64(sent), uint64(pruned))
-	se.traffic.EntriesSent = sent
-	se.traffic.Forwarded = fwd
-	return left, right, true
 }

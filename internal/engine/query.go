@@ -276,10 +276,22 @@ type Result struct {
 	Rows    [][]string
 }
 
-// Sort orders rows lexicographically, making results comparable.
+// Sort orders rows lexicographically by their NUL-joined row key,
+// making results comparable. Cells without NUL compare element-wise
+// (lexRows), which is the same order and allocates nothing; a cell
+// containing NUL collides with the separator, where the two orders can
+// disagree, so that rare shape compares joined keys.
 func (r *Result) Sort() {
-	rowKey := func(row []string) string { return strings.Join(row, "\x00") }
-	sort.Slice(r.Rows, func(i, j int) bool { return rowKey(r.Rows[i]) < rowKey(r.Rows[j]) })
+	for _, row := range r.Rows {
+		for _, cell := range row {
+			if strings.IndexByte(cell, 0) >= 0 {
+				rowKey := func(row []string) string { return strings.Join(row, "\x00") }
+				sort.Slice(r.Rows, func(i, j int) bool { return rowKey(r.Rows[i]) < rowKey(r.Rows[j]) })
+				return
+			}
+		}
+	}
+	sort.Sort(lexRows(r.Rows))
 }
 
 // Equal reports whether two sorted results match exactly.

@@ -12,9 +12,9 @@ package engine
 // Correctness per kind under arbitrary sharding:
 //
 //   - FILTER / SKYLINE: each switch forwards a superset of its shard's
-//     matching/non-dominated rows; the master gathers survivors and
-//     re-runs the exact completion over the union. skyline(S) =
-//     skyline(T) whenever skyline(T) ⊆ S ⊆ T.
+//     matching/non-dominated rows; the master maps survivors to rows of
+//     the original table and re-runs the exact completion over their
+//     union there. skyline(S) = skyline(T) whenever skyline(T) ⊆ S ⊆ T.
 //   - TOP N: every global top-N value is in its shard's local top N, so
 //     per-shard N-heaps followed by a tightened global N-heap re-check
 //     lose nothing.
@@ -26,13 +26,17 @@ package engine
 //     surface every true positive; the global second pass re-computes
 //     exact sums and drops the extra false positives (the same
 //     guarantee shape as §4.3's partial second pass).
-//   - JOIN: the executor hash-shards both tables on the join keys, so
-//     matching keys are co-located and per-switch Bloom joins compose
+//   - JOIN: the executor hash-places both tables' rows on the join keys,
+//     so matching keys are co-located and per-switch Bloom joins compose
 //     by concatenation.
+//
+// Shards are never copied on the hot paths: contiguous shards are views,
+// and hash/range shards are row selections of the parent table that
+// JOIN, FILTER and SKYLINE passes read through (see shardInputs).
 
 import (
 	"fmt"
-
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -118,8 +122,9 @@ type ShardedOptions struct {
 	// Skip enables storage-side block skipping on each shard (skip.go)
 	// for kinds with a sound block bound (FILTER, TOP N, JOIN). Shards
 	// that are contiguous views of an indexed table inherit its skip
-	// index; hash/range shards are freshly materialized tables without
-	// one and simply scan. Results stay bit-identical to ExecDirect.
+	// index; hash/range shards are row selections (or column copies)
+	// without one and simply scan. Results stay bit-identical to
+	// ExecDirect.
 	Skip bool
 	// NoFuse opts shards out of the fused compiled loops (fuse.go) and
 	// back onto the chunked batch pipeline, mirroring
@@ -189,24 +194,39 @@ func shardKeyCol(q *Query) (string, error) {
 	}
 }
 
-// shardTables splits the query's input tables into k shards according to
-// the strategy. For JOIN both sides are hash-sharded on their keys; any
-// other strategy would break key co-location and is rejected.
-func shardTables(q *Query, k int, strategy ShardStrategy) (left, right []*table.Table, err error) {
+// shardInput is one shard's part of a query input table: the table the
+// shard's passes scan and, for a hash or range shard of a kind whose
+// passes read through selections, the parent rows the shard holds.
+type shardInput struct {
+	// t is a contiguous view of the parent (sel nil, base its first
+	// row), the parent itself (sel non-nil), or a copy of the columns
+	// the query reads (kinds that scan whole tables only).
+	t    *table.Table
+	sel  []int
+	base int
+}
+
+// shardInputs splits the query's input tables into k shards according to
+// the strategy. For JOIN both sides are hash-placed on their keys; any
+// other strategy would break key co-location and is rejected. Hash and
+// range placement are row selections of the parent: JOIN, FILTER and
+// SKYLINE passes read the parent through them, and the other kinds get
+// a copy of just their columns' selected rows.
+func shardInputs(q *Query, k int, strategy ShardStrategy) (left, right []shardInput, err error) {
+	selected := func(t *table.Table, sel [][]int) []shardInput {
+		in := make([]shardInput, len(sel))
+		for s := range sel {
+			in[s] = shardInput{t: t, sel: sel[s]}
+		}
+		return in
+	}
 	if q.Kind == KindJoin {
 		if strategy != ShardAuto && strategy != ShardHash {
 			return nil, nil, fmt.Errorf("engine: sharded join requires hash sharding on the keys, not %v", strategy)
 		}
 		if k == 1 {
-			// One shard needs no co-location: zero-copy views beat
-			// rebuilding both tables' column storage.
-			if left, err = q.Table.Partition(1); err != nil {
-				return nil, nil, err
-			}
-			if right, err = q.Right.Partition(1); err != nil {
-				return nil, nil, err
-			}
-			return left, right, nil
+			// One shard needs no co-location: it scans both tables whole.
+			return []shardInput{{t: q.Table}}, []shardInput{{t: q.Right}}, nil
 		}
 		ls, li := q.Table.Schema(), q.Table.Schema().Index(q.LeftKey)
 		rs, ri := q.Right.Schema(), q.Right.Schema().Index(q.RightKey)
@@ -214,31 +234,73 @@ func shardTables(q *Query, k int, strategy ShardStrategy) (left, right []*table.
 			return nil, nil, fmt.Errorf("engine: sharded join needs same-typed keys, %q is %s and %q is %s",
 				q.LeftKey, ls[li].Type, q.RightKey, rs[ri].Type)
 		}
-		if left, err = q.Table.ShardBy(q.LeftKey, k); err != nil {
+		lsel, err := q.Table.HashShardRows(q.LeftKey, k)
+		if err != nil {
 			return nil, nil, err
 		}
-		if right, err = q.Right.ShardBy(q.RightKey, k); err != nil {
+		rsel, err := q.Right.HashShardRows(q.RightKey, k)
+		if err != nil {
 			return nil, nil, err
 		}
-		return left, right, nil
+		return selected(q.Table, lsel), selected(q.Right, rsel), nil
 	}
+	var sel [][]int
 	switch strategy {
 	case ShardAuto, ShardContiguous:
-		left, err = q.Table.Partition(k)
+		views, err := q.Table.Partition(k)
+		if err != nil {
+			return nil, nil, err
+		}
+		left = make([]shardInput, k)
+		for s, v := range views {
+			left[s] = shardInput{t: v, base: s * q.Table.NumRows() / k}
+		}
+		return left, nil, nil
 	case ShardHash:
 		var col string
 		if col, err = shardKeyCol(q); err == nil {
-			left, err = q.Table.ShardBy(col, k)
+			sel, err = q.Table.HashShardRows(col, k)
 		}
 	case ShardRange:
 		var col string
 		if col, err = shardKeyCol(q); err == nil {
-			left, err = q.Table.ShardByRange(col, k)
+			sel, err = q.Table.RangeShardRows(col, k)
 		}
 	default:
 		err = fmt.Errorf("engine: unknown shard strategy %d", uint8(strategy))
 	}
-	return left, nil, err
+	if err != nil {
+		return nil, nil, err
+	}
+	if q.Kind == KindFilter || q.Kind == KindSkyline {
+		return selected(q.Table, sel), nil, nil
+	}
+	cols, err := q.Table.Project(scannedCols(q)...)
+	if err != nil {
+		return nil, nil, err
+	}
+	left = make([]shardInput, k)
+	for s := range sel {
+		if left[s].t, err = cols.Gather(sel[s]); err != nil {
+			return nil, nil, err
+		}
+	}
+	return left, nil, nil
+}
+
+// scannedCols names, once each, the columns a DISTINCT, TOP N, GROUP BY
+// or HAVING pass and its merge read.
+func scannedCols(q *Query) []string {
+	var names []string
+	switch q.Kind {
+	case KindDistinct:
+		names = q.DistinctCols
+	case KindTopN:
+		names = []string{q.OrderCol}
+	default:
+		names = []string{q.KeyCol, q.AggCol}
+	}
+	return slices.Compact(slices.Sorted(slices.Values(names)))
 }
 
 // defaultShardPruner builds shard s's program with the batched path's
@@ -274,14 +336,21 @@ func shardPruner(q *Query, opts ShardedOptions, s int) (prune.Pruner, error) {
 
 // shardExec bundles one shard's execution context.
 type shardExec struct {
-	idx      int
-	q        *Query // per-shard query (shard tables substituted)
-	pruner   prune.Pruner
-	dp       BatchDataplane
-	traffic  Traffic
-	skipped  SkipStats
-	attempts int  // failover replacements taken
-	degraded bool // fell back to master-side execution
+	idx int
+	// q is the per-shard query, with each input's shardInput.t
+	// substituted; sel and rsel are the left and right row selections
+	// (nil unless that input is the parent) and base the left view's
+	// first parent row. Gather survivors are in q.Table's coordinates
+	// and join survivors in q.Table's and q.Right's.
+	q         *Query
+	sel, rsel []int
+	base      int
+	pruner    prune.Pruner
+	dp        BatchDataplane
+	traffic   Traffic
+	skipped   SkipStats
+	attempts  int  // failover replacements taken
+	degraded  bool // fell back to master-side execution
 }
 
 // maxFailoverAttempts caps per-shard switch replacements before the
@@ -381,53 +450,40 @@ func forEachShard(n int, f func(s int) error) error {
 	return nil
 }
 
-// newShardExecs shards the tables and builds each shard's context.
+// newShardExecs places the shards and builds each shard's context.
 func newShardExecs(q *Query, opts ShardedOptions) ([]*shardExec, error) {
-	left, right, err := shardTables(q, opts.Shards, opts.Strategy)
+	left, right, err := shardInputs(q, opts.Shards, opts.Strategy)
 	if err != nil {
 		return nil, err
 	}
 	execs := make([]*shardExec, opts.Shards)
 	for s := 0; s < opts.Shards; s++ {
 		qs := *q
-		qs.Table = left[s]
+		qs.Table = left[s].t
+		se := &shardExec{idx: s, q: &qs, sel: left[s].sel, base: left[s].base}
 		if right != nil {
-			qs.Right = right[s]
+			qs.Right = right[s].t
+			se.rsel = right[s].sel
 		}
-		pruner, err := shardPruner(q, opts, s)
-		if err != nil {
+		if se.pruner, err = shardPruner(q, opts, s); err != nil {
 			return nil, err
 		}
-		se := &shardExec{idx: s, q: &qs, pruner: pruner}
 		if opts.Flows != nil {
 			se.dp = opts.Flows[s]
 		} else {
-			se.dp = progDataplane{prog: pruner}
+			se.dp = progDataplane{prog: se.pruner}
 		}
 		execs[s] = se
 	}
 	return execs, nil
 }
 
-// gatherSurvivors copies each shard's surviving rows into one master-
-// side table (late materialization of the gather step), one columnar
-// sweep per shard.
-func gatherSurvivors(execs []*shardExec, survivors [][]int) (*table.Table, error) {
-	g, err := table.New(execs[0].q.Table.Schema())
-	if err != nil {
-		return nil, err
+// numRows is the number of left-input rows the shard holds.
+func (se *shardExec) numRows() int {
+	if se.sel != nil {
+		return len(se.sel)
 	}
-	total := 0
-	for _, rows := range survivors {
-		total += len(rows)
-	}
-	g.Grow(total)
-	for s, rows := range survivors {
-		if err := g.AppendRowsFrom(execs[s].q.Table, rows); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
+	return se.q.Table.NumRows()
 }
 
 // ExecSharded runs the query across a fabric of Shards switches: the
@@ -541,12 +597,10 @@ func execSharded(q *Query, opts ShardedOptions) (*ShardedRun, error) {
 	return run, nil
 }
 
-// shardSurvivors runs shard se's single-pass pruning stream and returns
-// the shard-local surviving row ids, using the pruner's batched
-// execution (ExecCheetah on the shard with the shard's own program).
-// Kinds whose batched completion fuses away the survivor list (TOP N)
-// have their own shard pass below.
-func (se *shardExec) shardSurvivors(opts ShardedOptions, collect func(fwd []uint64, ids []uint64, b int)) error {
+// shardSurvivors runs shard se's single-pass pruning stream on the
+// chunked batch pipeline and hands collect each chunk's forwarded row
+// ids (in q.Table's coordinates) — the fallback of fusedGatherPass.
+func (se *shardExec) shardSurvivors(opts ShardedOptions, collect func(fwd []uint64, chunkN int)) error {
 	q := se.q
 	buf := getStreamBuf()
 	defer putStreamBuf(buf)
@@ -561,10 +615,9 @@ func (se *shardExec) shardSurvivors(opts ShardedOptions, collect func(fwd []uint
 			cols[i] = q.Table.Schema().MustIndex(p.Col)
 		}
 		width = len(cols)
-		if opts.Skip {
+		if opts.Skip && se.sel == nil {
 			// Contiguous shards are views of the indexed root and skip
-			// against its (root-aligned) blocks; materialized hash/range
-			// shards have no index and get the full span back.
+			// against its (root-aligned) blocks; selections never skip.
 			spans, se.skipped = filterSpans(q, q.Table, cols)
 		}
 		encFor = func(t *table.Table) partEncoder { return encFilter(t, q.Predicates, cols) }
@@ -579,7 +632,7 @@ func (se *shardExec) shardSurvivors(opts ShardedOptions, collect func(fwd []uint
 	default:
 		return fmt.Errorf("engine: shardSurvivors does not handle %v", q.Kind)
 	}
-	return spanPass(q.Table, spans, opts.Workers, width, needIDs, buf, encFor, se.dp,
+	return spanPass(q.Table, se.sel, spans, opts.Workers, width, needIDs, buf, encFor, se.dp,
 		func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
 			se.traffic.EntriesSent += b.N
 			src := ids
@@ -590,59 +643,66 @@ func (se *shardExec) shardSurvivors(opts ShardedOptions, collect func(fwd []uint
 			}
 			fwd := buf.compactForwarded(src, dec, b.N)
 			se.traffic.Forwarded += len(fwd)
-			collect(fwd, ids, b.N)
+			collect(fwd, b.N)
 		})
 }
 
 // shardedGather serves FILTER and SKYLINE: per-shard survivor streams,
-// then an exact master completion over the gathered union.
+// mapped to rows of the original table, then one exact master
+// completion over their union — no survivor is copied.
 func shardedGather(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun, error) {
 	survivors := make([][]int, len(execs))
 	err := forEachShard(len(execs), func(s int) error {
 		se := execs[s]
 		return se.run(opts, func() error {
-			if rows, ok := se.fusedGatherPass(opts); ok {
-				survivors[s] = rows
-				return nil
-			}
-			sv := survivorSet{remaining: se.q.Table.NumRows()}
-			if err := se.shardSurvivors(opts, func(fwd []uint64, _ []uint64, chunkN int) {
-				sv.add(fwd, chunkN)
-			}); err != nil {
-				return err
-			}
-			if q.Kind == KindSkyline {
-				// Control-plane drain of the stored points at FIN.
-				dr, ok := se.pruner.(prune.Drainer)
-				if !ok {
-					return fmt.Errorf("engine: skyline needs a draining pruner, got %T", se.pruner)
+			rows, ok := se.fusedGatherPass(opts)
+			if !ok {
+				sv := survivorSet{remaining: se.numRows()}
+				if err := se.shardSurvivors(opts, sv.add); err != nil {
+					return err
 				}
-				width := len(q.SkylineCols)
-				for _, e := range dr.Drain() {
-					se.traffic.Forwarded++
-					sv.rows = append(sv.rows, int(e[width]))
+				if q.Kind == KindSkyline {
+					// Control-plane drain of the stored points at FIN.
+					dr, ok := se.pruner.(prune.Drainer)
+					if !ok {
+						return fmt.Errorf("engine: skyline needs a draining pruner, got %T", se.pruner)
+					}
+					width := len(q.SkylineCols)
+					for _, e := range dr.Drain() {
+						se.traffic.Forwarded++
+						sv.rows = append(sv.rows, int(e[width]))
+					}
+				}
+				se.traffic.MasterProcessed = len(sv.rows)
+				rows = sv.rows
+			}
+			// A contiguous view's rows are offset into the parent.
+			if se.base != 0 {
+				for i := range rows {
+					rows[i] += se.base
 				}
 			}
-			se.traffic.MasterProcessed = len(sv.rows)
-			survivors[s] = sv.rows
+			survivors[s] = rows
 			return nil
 		})
 	})
 	if err != nil {
 		return nil, err
 	}
-	g, err := gatherSurvivors(execs, survivors)
-	if err != nil {
-		return nil, err
+	total := 0
+	for _, rows := range survivors {
+		total += len(rows)
 	}
-	qg := *q
-	qg.Table = g
-	res, err := completeOnRows(&qg, allRows(g))
+	all := make([]int, 0, total)
+	for _, rows := range survivors {
+		all = append(all, rows...)
+	}
+	res, err := completeOnRows(q, all)
 	if err != nil {
 		return nil, err
 	}
 	run := &ShardedRun{Result: res}
-	run.Traffic.MasterProcessed = g.NumRows()
+	run.Traffic.MasterProcessed = total
 	return run, nil
 }
 
@@ -696,12 +756,12 @@ func shardedDistinct(q *Query, execs []*shardExec, opts ShardedOptions) (*Sharde
 	// representative row of the same value tuple renders identically).
 	global := make(map[uint64]struct{}, 1024)
 	cols := make([]int, len(q.DistinctCols))
-	for i, c := range q.DistinctCols {
-		cols[i] = q.Table.Schema().MustIndex(c)
-	}
 	var rows [][]string
 	for s := range partials {
 		t := execs[s].q.Table
+		for i, c := range q.DistinctCols {
+			cols[i] = t.Schema().MustIndex(c)
+		}
 		for i, fp := range partials[s].fps {
 			if _, ok := global[fp]; ok {
 				continue
@@ -1068,14 +1128,13 @@ func shardedHaving(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedR
 
 // shardedJoin runs one Bloom join per switch over the co-located shard
 // pair and concatenates the per-key summaries (hash co-location means no
-// key spans switches).
+// key spans switches), sorting once at the end.
 func shardedJoin(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun, error) {
-	results := make([]*Result, len(execs))
+	pairs := make([][][]string, len(execs))
+	lc := q.Table.Schema().MustIndex(q.LeftKey)
+	rc := q.Right.Schema().MustIndex(q.RightKey)
 	err := forEachShard(len(execs), func(s int) error {
 		se := execs[s]
-		qs := se.q
-		lc := qs.Table.Schema().MustIndex(qs.LeftKey)
-		rc := qs.Right.Schema().MustIndex(qs.RightKey)
 		// The build and probe passes share the program's Bloom state, so
 		// the retry unit is the whole build→probe sequence: a switch that
 		// dies anywhere inside it invalidates the filter, never just one
@@ -1085,89 +1144,40 @@ func shardedJoin(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun
 			if !ok {
 				return fmt.Errorf("engine: join needs a *prune.Join, got %T", se.pruner)
 			}
-			if fl, fr, ok := se.fusedJoinPass(opts, lc, rc); ok {
-				res, err := execJoin(qs, fl, fr)
-				if err != nil {
+			l, r := newJoinInput(se.q.Table, lc, se.sel), newJoinInput(se.q.Right, rc, se.rsel)
+			if opts.Skip && se.rsel == nil {
+				// Probe-side skipping on the single whole-table shard: exact
+				// for the same reason as the single-switch path (skip.go).
+				r.spans, se.skipped = joinRightSpans(se.q.Table, lc, se.q.Right, rc)
+			}
+			var left, right []int
+			if se.fusable(opts) && j.Phase() == prune.PhaseBuild {
+				left, right, se.traffic = fusedJoinCore(j, opts.Seed, l, r)
+			} else {
+				buf := getStreamBuf()
+				defer putStreamBuf(buf)
+				var err error
+				if left, right, err = batchJoinCore(j, se.dp, buf, opts.Workers, opts.Seed, l, r, &se.traffic); err != nil {
 					return err
 				}
-				se.traffic.MasterProcessed = len(fl) + len(fr)
-				results[s] = res
-				return nil
 			}
-			buf := getStreamBuf()
-			defer putStreamBuf(buf)
-			// Probe-side skipping per shard: exact for the same reason as
-			// the single-switch path (skip.go) — a key absent from every
-			// scanned right block is absent from the shard's left too.
-			leftSpans := fullSpans(qs.Table)
-			rightSpans := fullSpans(qs.Right)
-			if opts.Skip {
-				rightSpans, se.skipped = joinRightSpans(qs.Table, lc, qs.Right, rc)
-			}
-			encAFor := func(t *table.Table) partEncoder { return encSide(t, lc, prune.SideA, opts.Seed) }
-			encBFor := func(t *table.Table) partEncoder { return encSide(t, rc, prune.SideB, opts.Seed) }
-			pass := func(t *table.Table, spans []span, encFor func(*table.Table) partEncoder, sv *survivorSet) error {
-				return spanPass(t, spans, opts.Workers, 2, sv != nil, buf, encFor, se.dp,
-					func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-						se.traffic.EntriesSent += b.N
-						if sv == nil {
-							n := b.N
-							for _, d := range dec[:b.N] {
-								n -= int(d)
-							}
-							se.traffic.Forwarded += n
-							return
-						}
-						fwd := buf.compactForwarded(ids, dec, b.N)
-						se.traffic.Forwarded += len(fwd)
-						sv.add(fwd, b.N)
-					})
-			}
-			var left, right survivorSet
-			var err error
-			if j.Asymmetric() {
-				left.remaining = qs.Table.NumRows()
-				err = pass(qs.Table, leftSpans, encAFor, &left)
-				j.StartProbe()
-				right.remaining = qs.Right.NumRows()
-				if err == nil {
-					err = pass(qs.Right, rightSpans, encBFor, &right)
-				}
-			} else {
-				err = pass(qs.Table, leftSpans, encAFor, nil)
-				if err == nil {
-					err = pass(qs.Right, rightSpans, encBFor, nil)
-				}
-				j.StartProbe()
-				left.remaining = qs.Table.NumRows()
-				if err == nil {
-					err = pass(qs.Table, leftSpans, encAFor, &left)
-				}
-				right.remaining = qs.Right.NumRows()
-				if err == nil {
-					err = pass(qs.Right, rightSpans, encBFor, &right)
-				}
-			}
-			if err != nil {
-				return err
-			}
-			res, err := execJoin(qs, left.rows, right.rows)
-			if err != nil {
-				return err
-			}
-			se.traffic.MasterProcessed = len(left.rows) + len(right.rows)
-			results[s] = res
+			se.traffic.MasterProcessed = len(left) + len(right)
+			pairs[s] = joinPairs(se.q, left, right)
 			return nil
 		})
 	})
 	if err != nil {
 		return nil, err
 	}
-	var rows [][]string
-	for _, r := range results {
-		rows = append(rows, r.Rows...)
+	total := 0
+	for _, p := range pairs {
+		total += len(p)
 	}
-	run := &ShardedRun{Result: sortedResult([]string{q.LeftKey, "pairs"}, rows)}
+	rows := make([][]string, 0, total)
+	for _, p := range pairs {
+		rows = append(rows, p...)
+	}
+	run := &ShardedRun{Result: sortedResult(joinColumns(q), rows)}
 	for _, se := range execs {
 		run.Traffic.MasterProcessed += se.traffic.MasterProcessed
 	}

@@ -281,12 +281,36 @@ func offsetIDs(enc partEncoder, base uint64) partEncoder {
 	}
 }
 
+// selectRows adapts enc, an encoder of t's rows, to a row selection of
+// t: ordinals [lo, hi) encode rows sel[lo:hi]. The selection is split
+// into maximal runs of consecutive rows, each encoded by one call, so
+// enc's column sweeps stay contiguous; row ids come out in t's
+// coordinates.
+func selectRows(enc partEncoder, sel []int) partEncoder {
+	return func(dst [][]uint64, ids []uint64, lo, hi, pos0, stride int) {
+		for i := lo; i < hi; {
+			j := i + 1
+			for j < hi && sel[j] == sel[j-1]+1 {
+				j++
+			}
+			enc(dst, ids, sel[i], sel[i]+j-i, pos0+(i-lo)*stride, stride)
+			i = j
+		}
+	}
+}
+
 // spanPass streams each span of t through batchPass as its own segment
 // (zero-copy views, ids rebased to t's coordinates). The single
 // full-table span — the no-skipping case — takes the exact legacy path,
-// byte for byte.
-func spanPass(t *table.Table, spans []span, workers, width int, needIDs bool, buf *streamBuf,
+// byte for byte. A non-nil sel streams that row selection of t instead
+// (a hash or range shard): selections carry no skip index, so spans is
+// ignored and every selected row is sent.
+func spanPass(t *table.Table, sel []int, spans []span, workers, width int, needIDs bool, buf *streamBuf,
 	encFor func(*table.Table) partEncoder, dp BatchDataplane, sink batchSink) error {
+	if sel != nil {
+		batchPass(len(sel), workers, width, needIDs, buf, selectRows(encFor(t), sel), dp, nil, sink)
+		return nil
+	}
 	if len(spans) == 1 && spans[0].lo == 0 && spans[0].hi == t.NumRows() {
 		batchPass(t.NumRows(), workers, width, needIDs, buf, encFor(t), dp, nil, sink)
 		return nil

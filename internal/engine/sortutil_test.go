@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -74,6 +75,8 @@ func TestRadixSortStringsMatchesSortStrings(t *testing.T) {
 	}
 }
 
+// TestLexRowsMatchesResultSort pins lexRows, the allocation-free sort
+// behind Result.Sort, to the NUL-joined row-key order.
 func TestLexRowsMatchesResultSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	rows := make([][]string, 300)
@@ -88,7 +91,10 @@ func TestLexRowsMatchesResultSort(t *testing.T) {
 	for _, r := range rows {
 		viaResult.Rows = append(viaResult.Rows, append([]string(nil), r...))
 	}
-	viaResult.Sort()
+	// The reference is the joined-key order Result.Sort defines.
+	sort.Slice(viaResult.Rows, func(i, j int) bool {
+		return strings.Join(viaResult.Rows[i], "\x00") < strings.Join(viaResult.Rows[j], "\x00")
+	})
 	viaLex := make([][]string, len(rows))
 	copy(viaLex, rows)
 	sort.Sort(lexRows(viaLex))
@@ -98,5 +104,16 @@ func TestLexRowsMatchesResultSort(t *testing.T) {
 				t.Fatalf("row %d col %d: %q vs %q", i, c, viaLex[i][c], viaResult.Rows[i][c])
 			}
 		}
+	}
+}
+
+// TestResultSortNULFallback pins the joined-key order for cells holding
+// NUL, where element-wise comparison disagrees with it.
+func TestResultSortNULFallback(t *testing.T) {
+	// Joined keys "a\x00\x00z" < "a\x00b"; element-wise "a\x00" > "a".
+	r := &Result{Rows: [][]string{{"a", "b"}, {"a\x00", "z"}}}
+	r.Sort()
+	if r.Rows[0][0] != "a\x00" {
+		t.Fatalf("NUL cell: got order %q", r.Rows)
 	}
 }

@@ -174,7 +174,10 @@ func dominates(a, b []uint64) bool {
 // Process implements switchsim.Program. vals holds the D coordinates,
 // optionally followed by an entry identifier (vals[Dims]) that travels
 // with the point through swaps so drained switch state can be
-// late-materialized by the master.
+// late-materialized by the master. A forwarded packet leaves with the
+// identifier of the point it carries out: after a swap that is the
+// displaced stored point's, so Process rewrites vals[Dims] (only the
+// identifier — the master re-reads coordinates from the row).
 func (p *Skyline) Process(vals []uint64) switchsim.Decision {
 	p.stats.Processed++
 	if len(vals) < p.cfg.Dims {
@@ -216,6 +219,7 @@ func (p *Skyline) Process(vals []uint64) switchsim.Decision {
 			p.scores[i] = carryScore
 			p.ids[i] = p.carryID
 			p.fill++
+			p.emitCarryID(vals)
 			return switchsim.Forward
 		}
 		if carryScore > p.scores[i] {
@@ -239,13 +243,23 @@ func (p *Skyline) Process(vals []uint64) switchsim.Decision {
 		p.stats.Pruned++
 		return switchsim.Prune
 	}
+	p.emitCarryID(vals)
 	return switchsim.Forward
+}
+
+// emitCarryID writes the carried point's identifier into the packet's
+// identifier slot, when the packet has one.
+func (p *Skyline) emitCarryID(vals []uint64) {
+	if len(vals) > p.cfg.Dims {
+		vals[p.cfg.Dims] = p.carryID
+	}
 }
 
 // ProcessBatch implements switchsim.BatchProgram. SKYLINE's per-entry
 // work is a full sweep of the stored points, so the batch win is the
 // hoisted gather scratch and decision loop rather than a columnar inner
-// loop; semantics are exactly sequential Process calls.
+// loop; semantics are exactly sequential Process calls, including the
+// rewrite of the identifier column.
 func (p *Skyline) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
 	width := len(b.Cols)
 	if cap(p.gather) < width {
@@ -257,6 +271,9 @@ func (p *Skyline) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decisio
 			vals[i] = c[j]
 		}
 		decisions[j] = p.Process(vals)
+		if width > p.cfg.Dims {
+			b.Cols[p.cfg.Dims][j] = vals[p.cfg.Dims]
+		}
 	}
 }
 

@@ -235,3 +235,90 @@ func BenchmarkSkylineAPHProcess(b *testing.B) {
 		p.Process(vals)
 	}
 }
+
+// displacedStream is a hand-built SUM-heuristic stream (2 stored points)
+// in which a stored skyline point leaves the store without ever having
+// been forwarded: P=(10,0) swaps in while its packet is pruned (the
+// point it displaced is dominated by an equal stored duplicate), then
+// two higher-score arrivals shift it out of the last slot, and the
+// packet carrying it out must report P's id, not the arriving point's.
+var displacedStream = []struct {
+	pt []uint64
+	id uint64
+}{
+	{[]uint64{4, 4}, 10},  // a: stored in slot 0
+	{[]uint64{4, 4}, 20},  // b: duplicate, stored in empty slot 1
+	{[]uint64{10, 0}, 30}, // P: swaps in, packet carries a out, pruned
+	{[]uint64{0, 11}, 40}, // Q: shifts P to slot 1, carries b out
+	{[]uint64{0, 12}, 50}, // R: shifts Q, carries P out
+}
+
+// survivorIDs returns the ids the master receives from a stream: the
+// forwarded entries' ids plus the drained store.
+func survivorIDs(forwarded []uint64, s *Skyline) map[uint64]bool {
+	ids := map[uint64]bool{}
+	for _, id := range forwarded {
+		ids[id] = true
+	}
+	for _, e := range s.Drain() {
+		ids[e[2]] = true
+	}
+	return ids
+}
+
+// TestSkylineDisplacedPointKeepsItsID pins the displaced point's id on
+// the forwarded packet, through Process and through ProcessBatch: every
+// true skyline point must reach the master.
+func TestSkylineDisplacedPointKeepsItsID(t *testing.T) {
+	cfg := SkylineConfig{Dims: 2, Points: 2, Heuristic: SkylineSum}
+	want := []uint64{10, 30, 50} // (4,4), (10,0), (0,12)
+
+	s, err := NewSkyline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fwd []uint64
+	for _, e := range displacedStream {
+		vals := append(append([]uint64(nil), e.pt...), e.id)
+		if s.Process(vals) == switchsim.Forward {
+			fwd = append(fwd, vals[2])
+		}
+	}
+	got := survivorIDs(fwd, s)
+	for _, id := range want {
+		if !got[id] {
+			t.Fatalf("Process: skyline point %d never reached the master (got %v)", id, got)
+		}
+	}
+
+	s, err = NewSkyline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &switchsim.Batch{Cols: make([][]uint64, 3), N: len(displacedStream)}
+	for _, e := range displacedStream {
+		b.Cols[0] = append(b.Cols[0], e.pt[0])
+		b.Cols[1] = append(b.Cols[1], e.pt[1])
+		b.Cols[2] = append(b.Cols[2], e.id)
+	}
+	dec := make([]switchsim.Decision, b.N)
+	s.ProcessBatch(b, dec)
+	fwd = fwd[:0]
+	for j, d := range dec {
+		if d == switchsim.Forward {
+			fwd = append(fwd, b.Cols[2][j])
+		}
+	}
+	got = survivorIDs(fwd, s)
+	for _, id := range want {
+		if !got[id] {
+			t.Fatalf("ProcessBatch: skyline point %d never reached the master (got %v)", id, got)
+		}
+	}
+	// Coordinates are never rewritten: the master re-reads them by id.
+	for j, e := range displacedStream {
+		if b.Cols[0][j] != e.pt[0] || b.Cols[1][j] != e.pt[1] {
+			t.Fatalf("entry %d coordinates rewritten", j)
+		}
+	}
+}

@@ -10,10 +10,13 @@ package table
 // property JOIN scatter/gather needs) and ShardByRange adds
 // order-preserving range placement.
 //
-// Unlike Partition's zero-copy views, shards are real tables: rows are
-// scattered, so the column storage must be rebuilt per shard. Sharding
-// is deterministic — the same table, column and k always produce the
-// same shards.
+// Placement is computed as row selections: HashShardRows and
+// RangeShardRows return, per shard, the ascending row ids of the rows
+// routed there, which is all a query needs to scan a shard in place.
+// ShardBy and ShardByRange materialize those selections as real tables
+// (Gather) for callers that want standalone shards. Sharding is
+// deterministic — the same table, column and k always produce the same
+// shards, in the same row order.
 
 import (
 	"fmt"
@@ -32,38 +35,38 @@ const shardSeed = 0x5ca77e12c0ffee42
 // row r lands in shard hash(value) mod k. Equal values always land in
 // the same shard, so two tables hash-sharded on same-typed key columns
 // co-locate their matching keys shard-for-shard. k may exceed the row
-// count (the excess shards are empty); k ≤ 0 is an error.
+// count (the excess shards are empty); k ≤ 0 is an error. Each shard is
+// a copy of HashShardRows' selection.
 func (t *Table) ShardBy(col string, k int) ([]*Table, error) {
+	sel, err := t.HashShardRows(col, k)
+	if err != nil {
+		return nil, err
+	}
+	return t.gatherAll(sel)
+}
+
+// HashShardRows is ShardBy's placement as row selections: shard s holds
+// the ascending row ids whose value in col hashes to s.
+func (t *Table) HashShardRows(col string, k int) ([][]int, error) {
 	ci := t.schema.Index(col)
 	if ci < 0 {
 		return nil, fmt.Errorf("table: unknown shard column %q", col)
 	}
-	assign, err := t.shardAssignments(ci, k)
-	if err != nil {
-		return nil, err
-	}
-	return t.buildShards(assign, k)
-}
-
-// shardAssignments computes each row's hash-shard index.
-func (t *Table) shardAssignments(ci, k int) ([]int, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("table: shard count %d must be positive", k)
 	}
-	assign := make([]int, t.n)
+	assign := make([]int32, t.n)
 	switch t.cols[ci].typ {
 	case Int64:
-		vals := t.Int64Col(ci)
-		for r, v := range vals {
-			assign[r] = int(hashutil.ReduceFull(hashutil.HashUint64(uint64(v), shardSeed), uint64(k)))
+		for r, v := range t.Int64Col(ci) {
+			assign[r] = int32(hashutil.ReduceFull(hashutil.HashUint64(uint64(v), shardSeed), uint64(k)))
 		}
 	case String:
-		vals := t.StringCol(ci)
-		for r, v := range vals {
-			assign[r] = int(hashutil.ReduceFull(hashutil.HashString64(v, shardSeed), uint64(k)))
+		for r, v := range t.StringCol(ci) {
+			assign[r] = int32(hashutil.ReduceFull(hashutil.HashString64(v, shardSeed), uint64(k)))
 		}
 	}
-	return assign, nil
+	return selections(assign, k), nil
 }
 
 // ShardByRange splits the table into k shards by value ranges of the
@@ -71,8 +74,19 @@ func (t *Table) shardAssignments(ci, k int) ([]int, error) {
 // shards cover contiguous, non-overlapping value ranges of near-equal
 // row count (heavily duplicated values can still skew shard sizes —
 // equal values never split across shards). k may exceed the row count;
-// k ≤ 0 and non-Int64 columns are errors.
+// k ≤ 0 and non-Int64 columns are errors. Each shard is a copy of
+// RangeShardRows' selection.
 func (t *Table) ShardByRange(col string, k int) ([]*Table, error) {
+	sel, err := t.RangeShardRows(col, k)
+	if err != nil {
+		return nil, err
+	}
+	return t.gatherAll(sel)
+}
+
+// RangeShardRows is ShardByRange's placement as row selections: shard s
+// holds the ascending row ids whose value in col falls in its range.
+func (t *Table) RangeShardRows(col string, k int) ([][]int, error) {
 	ci := t.schema.Index(col)
 	if ci < 0 {
 		return nil, fmt.Errorf("table: unknown shard column %q", col)
@@ -101,48 +115,49 @@ func (t *Table) ShardByRange(col string, k int) ([]*Table, error) {
 		}
 		bounds[i] = sorted[hi]
 	}
-	assign := make([]int, t.n)
+	assign := make([]int32, t.n)
 	for r, v := range vals {
-		assign[r] = sort.Search(len(bounds), func(i int) bool { return v <= bounds[i] })
+		assign[r] = int32(sort.Search(len(bounds), func(i int) bool { return v <= bounds[i] }))
 	}
-	return t.buildShards(assign, k)
+	return selections(assign, k), nil
 }
 
-// buildShards materializes k shard tables from per-row assignments,
-// copying column storage shard-by-shard (one pre-sized allocation per
-// shard column).
-func (t *Table) buildShards(assign []int, k int) ([]*Table, error) {
+// selections turns per-row shard assignments into per-shard ascending
+// row lists, each allocated at its exact size.
+func selections(assign []int32, k int) [][]int {
 	counts := make([]int, k)
 	for _, s := range assign {
 		counts[s]++
 	}
-	shards := make([]*Table, k)
-	for s := 0; s < k; s++ {
-		sh, err := New(t.schema)
-		if err != nil {
+	sel := make([][]int, k)
+	for s := range sel {
+		sel[s] = make([]int, 0, counts[s])
+	}
+	for r, s := range assign {
+		sel[s] = append(sel[s], r)
+	}
+	return sel
+}
+
+// gatherAll materializes one table per selection.
+func (t *Table) gatherAll(sel [][]int) ([]*Table, error) {
+	out := make([]*Table, len(sel))
+	for s, rows := range sel {
+		var err error
+		if out[s], err = t.Gather(rows); err != nil {
 			return nil, err
 		}
-		sh.Grow(counts[s])
-		shards[s] = sh
 	}
-	for c, src := range t.cols {
-		switch src.typ {
-		case Int64:
-			vals := src.ints[t.off : t.off+t.n]
-			for r, s := range assign {
-				dst := shards[s].cols[c]
-				dst.ints = append(dst.ints, vals[r])
-			}
-		case String:
-			vals := src.strs[t.off : t.off+t.n]
-			for r, s := range assign {
-				dst := shards[s].cols[c]
-				dst.strs = append(dst.strs, vals[r])
-			}
-		}
+	return out, nil
+}
+
+// Gather returns a new table with t's schema holding the given rows of
+// t, in order. Project first to copy only the columns a reader needs.
+func (t *Table) Gather(rows []int) (*Table, error) {
+	g, err := New(t.schema)
+	if err != nil {
+		return nil, err
 	}
-	for s := range shards {
-		shards[s].n = counts[s]
-	}
-	return shards, nil
+	g.Grow(len(rows))
+	return g, g.AppendRowsFrom(t, rows)
 }

@@ -499,8 +499,8 @@ func (r Row) Values() []any {
 // AppendRowsFrom appends the given rows of src to t in order. Schemas
 // must match in types (names may differ). It is the bulk counterpart
 // of AppendRowFrom: the schema is checked once and each column is
-// copied in one sweep — the master-side gather path of sharded
-// executions, where survivor counts reach millions of rows.
+// copied in one sweep, so batch ingest of millions of rows stays one
+// pass per column.
 func (t *Table) AppendRowsFrom(src *Table, rows []int) error {
 	if t.parent != nil {
 		return fmt.Errorf("table: cannot append to a view")
