@@ -151,9 +151,9 @@ func buildUserVisits(b *testing.B, rows int) *cheetah.Table {
 }
 
 // benchExecCheetah runs q through ExecCheetah with the given path and
-// reports entries/s; the fused (default), batch (NoFuse) and scalar
-// variants of each benchmark share it so the speedup criteria are
-// measurable in one build.
+// reports entries/s; the fused (default) and scalar variants of each
+// benchmark share it so the speedup criteria are measurable in one
+// build.
 func benchExecCheetah(b *testing.B, q *cheetah.Query, rows int, opts cheetah.CheetahOptions) {
 	b.Helper()
 	b.ReportAllocs()
@@ -195,10 +195,6 @@ func BenchmarkExecCheetahDistinct100k(b *testing.B) {
 	benchExecCheetah(b, distinct100kQuery(b), 100_000, cheetah.CheetahOptions{})
 }
 
-func BenchmarkExecCheetahDistinct100kBatch(b *testing.B) {
-	benchExecCheetah(b, distinct100kQuery(b), 100_000, cheetah.CheetahOptions{NoFuse: true})
-}
-
 func BenchmarkExecCheetahDistinct100kScalar(b *testing.B) {
 	benchExecCheetah(b, distinct100kQuery(b), 100_000, cheetah.CheetahOptions{Scalar: true})
 }
@@ -207,20 +203,12 @@ func BenchmarkExecCheetahTopN100k(b *testing.B) {
 	benchExecCheetah(b, topN100kQuery(b), 100_000, cheetah.CheetahOptions{})
 }
 
-func BenchmarkExecCheetahTopN100kBatch(b *testing.B) {
-	benchExecCheetah(b, topN100kQuery(b), 100_000, cheetah.CheetahOptions{NoFuse: true})
-}
-
 func BenchmarkExecCheetahTopN100kScalar(b *testing.B) {
 	benchExecCheetah(b, topN100kQuery(b), 100_000, cheetah.CheetahOptions{Scalar: true})
 }
 
 func BenchmarkExecCheetahFilter100k(b *testing.B) {
 	benchExecCheetah(b, filter100kQuery(b), 100_000, cheetah.CheetahOptions{})
-}
-
-func BenchmarkExecCheetahFilter100kBatch(b *testing.B) {
-	benchExecCheetah(b, filter100kQuery(b), 100_000, cheetah.CheetahOptions{NoFuse: true})
 }
 
 func BenchmarkExecCheetahFilter100kScalar(b *testing.B) {

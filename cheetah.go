@@ -72,7 +72,7 @@ type (
 const (
 	// ModeDirect is exact single-node execution (the planner's fallback).
 	ModeDirect = plan.ModeDirect
-	// ModeCheetah is the in-process batched pruned path.
+	// ModeCheetah is the in-process compiled pruned path.
 	ModeCheetah = plan.ModeCheetah
 	// ModeCluster is the pruned path over the simulated lossy network.
 	ModeCluster = plan.ModeCluster
@@ -123,8 +123,8 @@ type (
 // The streaming subsystem: tables as append-able sources, queries as
 // continuous subscriptions executed incrementally over live appends.
 // Open a handle with DB.Stream, append rows through it, and Subscribe
-// planner-built queries — each delta batch runs through the batched
-// engine (scattered across the fabric when Switches > 1) and merges
+// planner-built queries — each committed delta runs through the
+// compiled engine (scattered across the fabric when Switches > 1) and merges
 // into a standing result that always equals a from-scratch run over
 // the full committed prefix. SubscribeWindow adds tumbling and sliding
 // row-count windows for the aggregate kinds.

@@ -36,8 +36,8 @@
 //
 // -trace prints measured ExplainAnalyze span trees — every query kind
 // run once per execution path (single-switch, sharded, exact direct),
-// each with its lifecycle trace (plan, skip, encode, prune, per-switch
-// passes, merge) — then exits unless explicit targets follow.
+// each with its lifecycle trace (plan, skip, fused, per-switch passes,
+// merge) — then exits unless explicit targets follow.
 package main
 
 import (

@@ -22,7 +22,7 @@ import (
 // BaselineEntry is one benchmark's machine-readable measurement.
 type BaselineEntry struct {
 	Name          string  `json:"name"`
-	Path          string  `json:"path"` // "fused", "batch" or "scalar"
+	Path          string  `json:"path"` // "fused" or "scalar"
 	Rows          int     `json:"rows"`
 	NsPerOp       float64 `json:"ns_per_op"`
 	EntriesPerSec float64 `json:"entries_per_sec"`
@@ -95,7 +95,7 @@ type BaselineReport struct {
 }
 
 // Baseline measures the ExecCheetah micro-benchmarks — the default
-// fused path, the chunked batch path and the legacy scalar path — with
+// fused path and the legacy scalar path — with
 // testing.Benchmark and writes the results as JSON, giving future
 // changes a perf trajectory to compare against. rows sizes the
 // benchmark table (the tracked benchmarks use 100k).
@@ -130,15 +130,14 @@ func Baseline(w io.Writer, rows int) error {
 	for _, qc := range queries {
 		for _, path := range []struct {
 			name   string
-			noFuse bool
 			scalar bool
-		}{{name: "fused"}, {name: "batch", noFuse: true}, {name: "scalar", scalar: true}} {
-			q, noFuse, scalar := qc.q, path.noFuse, path.scalar
+		}{{name: "fused"}, {name: "scalar", scalar: true}} {
+			q, scalar := qc.q, path.scalar
 			var benchErr error
 			r := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := engine.ExecCheetah(q, engine.CheetahOptions{Workers: 5, Seed: uint64(i), NoFuse: noFuse, Scalar: scalar}); err != nil {
+					if _, err := engine.ExecCheetah(q, engine.CheetahOptions{Workers: 5, Seed: uint64(i), Scalar: scalar}); err != nil {
 						benchErr = err
 						b.FailNow()
 					}

@@ -194,7 +194,7 @@ func fillSentinel(s []int64) {
 	}
 }
 
-// Mins exposes the per-row minimum cache for batch prune tests. The
+// Mins exposes the per-row minimum cache for the fused prune test. The
 // caller must not modify it; see MinSentinel for the not-full marker.
 func (r *RollingMin) Mins() []int64 { return r.mins }
 
@@ -272,24 +272,16 @@ func (r *RollingMin) insertSplice(row int, value int64) {
 	r.mins[row] = slots[r.w-1]
 }
 
-// FullMin returns the minimum cached value of row and whether the row is
-// full. It is the branch-light prune test hoisted into batch loops: for a
-// full row the minimum sits in the last column (splicing keeps columns in
-// descending order), so a value ≤ it can be pruned without running the
-// splice, and a not-full row can never prune. The method is small enough
-// to inline into callers' inner loops.
-func (r *RollingMin) FullMin(row int) (int64, bool) {
+// RowMin returns the minimum cached value of a full row, or false when the
+// row is not yet full. For a full row the minimum sits in the last column
+// (splicing keeps columns in descending order), so a value ≤ it can be
+// pruned without running the splice, and a not-full row can never prune.
+func (r *RollingMin) RowMin(row int) (int64, bool) {
 	m := r.mins[row]
 	if m == MinSentinel {
 		return 0, false
 	}
 	return m, true
-}
-
-// RowMin returns the minimum cached value of a full row, or false when the
-// row is not yet full.
-func (r *RollingMin) RowMin(row int) (int64, bool) {
-	return r.FullMin(row)
 }
 
 // Reset clears all rows.

@@ -18,99 +18,53 @@ type CheetahOptions struct {
 	Workers int
 	// Pruner overrides the default pruner built for the query kind.
 	// For KindJoin it must be a *prune.Join; for KindSkyline a
-	// *prune.Skyline; etc.
+	// *prune.Skyline; etc. A shipped pruner type runs on the compiled
+	// loops (fuse.go); any other type runs per entry through Process.
 	Pruner prune.Pruner
 	// Seed drives fingerprinting and any randomized pruner defaults.
 	Seed uint64
 	// Scalar forces the legacy per-row execution path (one closure call
-	// and one Program.Process per entry). The default is the batched
-	// columnar pipeline (batch.go); the scalar path is kept frozen as
-	// the equivalence-test reference and benchmark baseline.
+	// and one Program.Process per entry). The default is the compiled
+	// per-kind loops (fuse.go); the scalar path is kept frozen as the
+	// equivalence-test reference and benchmark baseline.
 	Scalar bool
-	// Flow, when non-nil, processes batches through a shared switch
-	// pipeline under the query's assigned QueryID instead of invoking
-	// Pruner directly — the serving layer's multiplexed dataplane, where
-	// the execution no longer owns the pipeline. Pruner must be the very
-	// program installed for that flow: control-plane operations (probe
-	// switchover, end-of-stream drains) still address it directly.
-	// Batched path only; combining Flow with Scalar is an error.
-	Flow BatchDataplane
+	// Flow, when non-nil, is the query's admitted flow on a shared switch
+	// pipeline — the serving layer's multiplexed dataplane, where the
+	// execution owns a flow, not the pipeline. Pruner is required and
+	// must be the very program installed for that flow: the execution
+	// drives it directly, marking chunk boundaries on the flow. The caller
+	// checks Flow.Err after the run and discards the run if the switch
+	// died during it.
+	Flow Flow
 	// Skip enables storage-side block skipping (skip.go) for kinds with
 	// a sound block bound (FILTER, TOP N, JOIN) when the table carries a
 	// skip index (table.BuildSkipIndex). Results stay bit-identical to
 	// ExecDirect; skipped blocks are never encoded, so Traffic shrinks.
-	// Batched path only; combining Skip with Scalar is an error — the
-	// scalar path is the frozen equivalence oracle.
+	// It applies to the compiled loops; combining Skip with Scalar is an
+	// error — the scalar path is the frozen equivalence oracle.
 	Skip bool
-	// NoFuse opts out of the fused execution loops (fuse.go) and keeps
-	// the chunked batch pipeline. The fused path is the default when the
-	// query's pruner is a shipped type the compiler knows; Results are
-	// always bit-identical to ExecDirect either way. Traffic and Stats
-	// are also identical for every kind except randomized TOP N, whose
-	// fused RNG draws from a counter-indexed stream (prune decisions may
-	// differ; final Results do not).
-	NoFuse bool
-	// Trace, when non-nil, collects per-stage spans (encode/prune/merge
-	// on the batched path, one fused span on the fused path) into the
-	// query's lifecycle trace. Tracing observes only: it never changes
-	// results, traffic or stats. The scalar path — the frozen
+	// Trace, when non-nil, collects one fused span per execution into
+	// the query's lifecycle trace. Tracing observes only: it never
+	// changes results, traffic or stats. The scalar path — the frozen
 	// equivalence oracle — is never traced.
 	Trace *obs.Trace
 	// TraceSwitch labels this execution's spans with the fabric switch
 	// index the flow is placed on (0 for an unplaced local execution).
 	TraceSwitch int
-
-	// traceAcc, set only by the traced dispatch, makes dataplaneFor
-	// wrap the resolved dataplane with ProcessBatch timing.
-	traceAcc *traceAcc
 }
 
-// BatchDataplane processes one batch of entries for an already-admitted
-// query flow. serve.Lease implements it by routing through the shared
-// pipeline's per-flow program table; the engine's default implementation
-// simply runs the execution's own pruner.
-type BatchDataplane interface {
-	ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision)
-}
-
-// HealthDataplane is the optional failure-aware extension of
-// BatchDataplane: Err reports nil while the switch still holds the
-// program and the revocation error once it died. A dead switch's
-// dataplane stays safe to call — it forwards everything — but any pass
-// that crossed the death may have lost program state the completion
-// depends on (§7.2), so executions check Err after each pass and redo
-// the work through a replacement. serve.Lease implements it.
-type HealthDataplane interface {
-	BatchDataplane
+// Flow is one admitted query's hold on a shared switch pipeline;
+// serve.Lease implements it. An execution calls Chunk before every
+// chunk of chunkEntries entries a pass streams through the flow's
+// program — where the pipeline's fault injector may kill the switch —
+// and callers check Err after each pass: nil while the switch still
+// holds the program, the revocation error once it died. A pass that
+// crossed the death may have lost program state the completion depends
+// on (§7.2), so its result is discarded and the work redone through a
+// replacement.
+type Flow interface {
+	Chunk()
 	Err() error
-}
-
-// progDataplane is the exclusive-ownership default: batches run straight
-// on the query's program.
-type progDataplane struct{ prog switchsim.Program }
-
-func (d progDataplane) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
-	switchsim.ProcessBatchOf(d.prog, b, decisions)
-}
-
-// FusedProgram implements the fused-capability probe (fuse.go): on the
-// exclusive path the execution owns the program outright, so direct
-// access is always allowed.
-func (d progDataplane) FusedProgram() switchsim.Program { return d.prog }
-
-// dataplaneFor resolves the batch dataplane of one execution: the
-// caller's flow-scoped handle when serving, the pruner itself otherwise.
-func (o CheetahOptions) dataplaneFor(pruner prune.Pruner) BatchDataplane {
-	var dp BatchDataplane
-	if o.Flow != nil {
-		dp = o.Flow
-	} else {
-		dp = progDataplane{prog: pruner}
-	}
-	if o.traceAcc != nil {
-		return traceDataplane{inner: dp, acc: o.traceAcc}
-	}
-	return dp
 }
 
 // Traffic counts the data movement of one Cheetah execution; the cost
@@ -141,7 +95,7 @@ type CheetahRun struct {
 	Skipped SkipStats
 	// Wall is the execution's total wall time, captured once in
 	// ExecCheetah around the whole run (see Stopwatch) — identical
-	// semantics on the scalar, batched and fused paths.
+	// semantics on the scalar and compiled paths.
 	Wall time.Duration
 }
 
@@ -176,15 +130,53 @@ func execCheetah(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
 	}
-	if !opts.Scalar {
-		return execCheetahBatch(q, opts)
+	if opts.Flow != nil && opts.Pruner == nil {
+		return nil, fmt.Errorf("engine: a flow needs its installed program as Pruner")
 	}
-	if opts.Flow != nil {
-		return nil, fmt.Errorf("engine: a flow-scoped dataplane requires the batched path, not Scalar")
+	if err := checkFilterWire(q, opts.Pruner); err != nil {
+		return nil, err
 	}
-	if opts.Skip {
-		return nil, fmt.Errorf("engine: block skipping requires the batched path, not Scalar")
+	if opts.Scalar {
+		if opts.Skip {
+			return nil, fmt.Errorf("engine: block skipping requires the compiled path, not Scalar")
+		}
+		return execScalar(q, opts)
 	}
+	tm := opts.Trace.Begin(obs.StageFused, opts.TraceSwitch)
+	run, ok, err := execCheetahFused(q, opts)
+	if !ok {
+		// A pruner type the compiler does not know (or a JOIN program
+		// already past its build phase) runs per entry through Process.
+		run, err = execScalar(q, opts)
+	}
+	if err == nil {
+		// One span covers the pass and its in-loop completion — the
+		// phases are interleaved by construction, so they cannot be
+		// timed apart.
+		tm.End(int64(run.Traffic.EntriesSent), int64(run.Traffic.Forwarded))
+	}
+	return run, err
+}
+
+// checkFilterWire rejects a FILTER program whose predicates read wire
+// values the query does not ship (one per query predicate).
+func checkFilterWire(q *Query, p prune.Pruner) error {
+	f, ok := p.(*prune.Filter)
+	if !ok || q.Kind != KindFilter {
+		return nil
+	}
+	preds, _ := f.FusedSpec()
+	for i := range preds {
+		if preds[i].ValIdx >= len(q.Predicates) {
+			return fmt.Errorf("engine: filter program predicate %d reads wire value %d, but the query has %d predicates",
+				i, preds[i].ValIdx, len(q.Predicates))
+		}
+	}
+	return nil
+}
+
+// execScalar runs the per-entry path: one Program.Process per entry.
+func execScalar(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	switch q.Kind {
 	case KindFilter:
 		return cheetahFilter(q, opts)
@@ -229,6 +221,20 @@ func interleave(t *table.Table, workers int, visit func(globalRow int)) {
 			}
 		}
 	}
+}
+
+// stream is interleave for a pass through the switch: it marks a chunk
+// boundary on the execution's flow before every chunkEntries entries.
+func (o CheetahOptions) stream(t *table.Table, visit func(globalRow int)) {
+	if o.Flow == nil {
+		interleave(t, o.Workers, visit)
+		return
+	}
+	hook := newChunkHook(o.Flow, 1)
+	interleave(t, o.Workers, func(r int) {
+		hook.step()
+		visit(r)
+	})
 }
 
 // fingerprintRow hashes the named columns of row r into one 64-bit
@@ -293,7 +299,7 @@ func cheetahFilter(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	run := &CheetahRun{PrunerName: pruner.Name()}
 	vals := make([]uint64, len(q.Predicates))
 	var survivors []int
-	interleave(q.Table, opts.Workers, func(r int) {
+	opts.stream(q.Table, func(r int) {
 		for i := range q.Predicates {
 			p := q.Predicates[i]
 			if p.SwitchSupported() {
@@ -338,7 +344,7 @@ func cheetahDistinct(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	run := &CheetahRun{PrunerName: pruner.Name()}
 	vals := make([]uint64, 1)
 	var survivors []int
-	interleave(q.Table, opts.Workers, func(r int) {
+	opts.stream(q.Table, func(r int) {
 		vals[0] = fingerprintRow(q.Table, cols, r, opts.Seed)
 		run.Traffic.EntriesSent++
 		if pruner.Process(vals) == switchsim.Forward {
@@ -373,7 +379,7 @@ func cheetahTopN(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	run := &CheetahRun{PrunerName: pruner.Name()}
 	vals := make([]uint64, 1)
 	var survivors []int
-	interleave(q.Table, opts.Workers, func(r int) {
+	opts.stream(q.Table, func(r int) {
 		vals[0] = uint64(q.Table.Int64At(col, r))
 		run.Traffic.EntriesSent++
 		if pruner.Process(vals) == switchsim.Forward {
@@ -407,7 +413,7 @@ func cheetahGroupByMax(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	run := &CheetahRun{PrunerName: pruner.Name()}
 	vals := make([]uint64, 2)
 	var survivors []int
-	interleave(q.Table, opts.Workers, func(r int) {
+	opts.stream(q.Table, func(r int) {
 		vals[0] = fingerprintRow(q.Table, []int{kc}, r, opts.Seed)
 		vals[1] = uint64(q.Table.Int64At(vc, r))
 		run.Traffic.EntriesSent++
@@ -450,7 +456,7 @@ func cheetahGroupBySum(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	sums := map[uint64]int64{}
 	fpToKey := map[uint64]string{}
 	vals := make([]uint64, 2)
-	interleave(q.Table, opts.Workers, func(r int) {
+	opts.stream(q.Table, func(r int) {
 		fp := fingerprintRow(q.Table, []int{kc}, r, opts.Seed)
 		if _, ok := fpToKey[fp]; !ok {
 			fpToKey[fp] = cellString(q.Table, kc, r)
@@ -500,7 +506,7 @@ func cheetahHaving(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	// candidate key fingerprints.
 	candidates := map[uint64]bool{}
 	vals := make([]uint64, 2)
-	interleave(q.Table, opts.Workers, func(r int) {
+	opts.stream(q.Table, func(r int) {
 		fp := fingerprintRow(q.Table, []int{kc}, r, opts.Seed)
 		vals[0] = fp
 		vals[1] = uint64(q.Table.Int64At(vc, r))
@@ -559,7 +565,7 @@ func cheetahJoin(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	if pruner.Asymmetric() {
 		// §4.3's small-table optimization: stream side A once, unpruned,
 		// while its filter trains; then prune side B against it.
-		interleave(q.Table, opts.Workers, func(r int) {
+		opts.stream(q.Table, func(r int) {
 			vals[0] = uint64(prune.SideA)
 			vals[1] = fingerprintRow(q.Table, []int{lc}, r, opts.Seed)
 			run.Traffic.EntriesSent++
@@ -569,7 +575,7 @@ func cheetahJoin(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 			}
 		})
 		pruner.StartProbe()
-		interleave(q.Right, opts.Workers, func(r int) {
+		opts.stream(q.Right, func(r int) {
 			vals[0] = uint64(prune.SideB)
 			vals[1] = fingerprintRow(q.Right, []int{rc}, r, opts.Seed)
 			run.Traffic.EntriesSent++
@@ -589,7 +595,7 @@ func cheetahJoin(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	}
 	// Pass 1: key columns of both tables build the filters (§4.3's input
 	// column optimization). These packets terminate at the switch.
-	interleave(q.Table, opts.Workers, func(r int) {
+	opts.stream(q.Table, func(r int) {
 		vals[0] = uint64(prune.SideA)
 		vals[1] = fingerprintRow(q.Table, []int{lc}, r, opts.Seed)
 		run.Traffic.EntriesSent++
@@ -597,7 +603,7 @@ func cheetahJoin(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 			run.Traffic.Forwarded++
 		}
 	})
-	interleave(q.Right, opts.Workers, func(r int) {
+	opts.stream(q.Right, func(r int) {
 		vals[0] = uint64(prune.SideB)
 		vals[1] = fingerprintRow(q.Right, []int{rc}, r, opts.Seed)
 		run.Traffic.EntriesSent++
@@ -607,7 +613,7 @@ func cheetahJoin(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	})
 	// Pass 2: full entries, pruned by the other side's filter.
 	pruner.StartProbe()
-	interleave(q.Table, opts.Workers, func(r int) {
+	opts.stream(q.Table, func(r int) {
 		vals[0] = uint64(prune.SideA)
 		vals[1] = fingerprintRow(q.Table, []int{lc}, r, opts.Seed)
 		run.Traffic.EntriesSent++
@@ -616,7 +622,7 @@ func cheetahJoin(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 			leftRows = append(leftRows, r)
 		}
 	})
-	interleave(q.Right, opts.Workers, func(r int) {
+	opts.stream(q.Right, func(r int) {
 		vals[0] = uint64(prune.SideB)
 		vals[1] = fingerprintRow(q.Right, []int{rc}, r, opts.Seed)
 		run.Traffic.EntriesSent++
@@ -657,7 +663,7 @@ func cheetahSkyline(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	run := &CheetahRun{PrunerName: pruner.Name()}
 	vals := make([]uint64, len(cols)+1)
 	var survivors []int
-	interleave(q.Table, opts.Workers, func(r int) {
+	opts.stream(q.Table, func(r int) {
 		for i, c := range cols {
 			vals[i] = uint64(q.Table.Int64At(c, r))
 		}

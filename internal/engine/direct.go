@@ -130,6 +130,55 @@ func (h int64Heap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *int64Heap) Push(x any)        { *h = append(*h, x.(int64)) }
 func (h *int64Heap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
+// push adds v to the heap (sift-up), replicating container/heap.Push for
+// the master's int64 N-heap without the interface boxing.
+func (h *int64Heap) push(v int64) {
+	*h = append(*h, v)
+	j := len(*h) - 1
+	for j > 0 {
+		parent := (j - 1) / 2
+		if (*h)[parent] <= (*h)[j] {
+			break
+		}
+		(*h)[parent], (*h)[j] = (*h)[j], (*h)[parent]
+		j = parent
+	}
+}
+
+// offer admits v to the capacity-topN heap when it qualifies: a plain
+// push while filling, a root replacement when v beats the current
+// minimum, a no-op otherwise.
+func (h *int64Heap) offer(v int64, topN int) {
+	if len(*h) < topN {
+		h.push(v)
+	} else if v > (*h)[0] {
+		(*h)[0] = v
+		(*h).fixRoot()
+	}
+}
+
+// fixRoot restores heap order after the root was replaced (sift-down),
+// replicating container/heap.Fix(h, 0).
+func (h int64Heap) fixRoot() {
+	n := len(h)
+	j := 0
+	for {
+		l, r := 2*j+1, 2*j+2
+		small := j
+		if l < n && h[l] < h[small] {
+			small = l
+		}
+		if r < n && h[r] < h[small] {
+			small = r
+		}
+		if small == j {
+			return
+		}
+		h[j], h[small] = h[small], h[j]
+		j = small
+	}
+}
+
 // execTopN returns the N largest ORDER BY values (the paper's TOP N is
 // served by the master with an N-sized heap, §8.3).
 func execTopN(q *Query, t *table.Table, rows []int) (*Result, error) {

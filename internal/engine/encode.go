@@ -104,6 +104,16 @@ func rowEncoder(q *Query, seed uint64) (func(r int, vals []uint64), int, error) 
 // query kind, matching ExecCheetah's defaults.
 func DefaultPruner(q *Query, seed uint64) (prune.Pruner, error) {
 	switch q.Kind {
+	case KindGroupBySum, KindHaving, KindJoin:
+		return nil, fmt.Errorf("engine: no default single-pass pruner for %v", q.Kind)
+	}
+	return defaultProgram(q, seed)
+}
+
+// defaultProgram builds ExecCheetah's default switch program for any
+// query kind.
+func defaultProgram(q *Query, seed uint64) (prune.Pruner, error) {
+	switch q.Kind {
 	case KindFilter:
 		sPreds := make([]prune.Predicate, len(q.Predicates))
 		for i, p := range q.Predicates {
@@ -122,8 +132,14 @@ func DefaultPruner(q *Query, seed uint64) (prune.Pruner, error) {
 		return prune.NewGroupBy(prune.DefaultGroupByConfig(seed))
 	case KindSkyline:
 		return prune.NewSkyline(prune.DefaultSkylineConfig(len(q.SkylineCols)))
+	case KindGroupBySum:
+		return prune.NewGroupBySum(prune.DefaultGroupBySumConfig(seed))
+	case KindHaving:
+		return prune.NewHaving(prune.DefaultHavingConfig(q.Threshold, seed))
+	case KindJoin:
+		return prune.NewJoin(prune.DefaultJoinConfig(seed))
 	default:
-		return nil, fmt.Errorf("engine: no default single-pass pruner for %v", q.Kind)
+		return nil, fmt.Errorf("engine: no default pruner for %v", q.Kind)
 	}
 }
 

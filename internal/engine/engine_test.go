@@ -455,10 +455,78 @@ func TestCheetahCustomPruner(t *testing.T) {
 	if run.PrunerName != "topn-det" {
 		t.Fatalf("PrunerName = %q", run.PrunerName)
 	}
-	// Wrong pruner type for a typed slot must error.
-	qh := &Query{Kind: KindHaving, Table: uv, KeyCol: "languageCode", AggCol: "adRevenue", Threshold: 10}
-	if _, err := ExecCheetah(qh, CheetahOptions{Pruner: det}); err == nil {
-		t.Fatal("mismatched pruner type accepted")
+}
+
+// TestExecCheetahErrs is the pruned paths' error surface: each bad
+// input errors, on every path it can reach, instead of running or
+// panicking.
+func TestExecCheetahErrs(t *testing.T) {
+	uv, err := workload.UserVisits(workload.DefaultUserVisits(2_000, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	having := &Query{Kind: KindHaving, Table: uv, KeyCol: "languageCode", AggCol: "adRevenue", Threshold: 10}
+	filter := &Query{Kind: KindFilter, Table: uv, Formula: boolexpr.Leaf{V: 0},
+		Predicates: []FilterPred{{Col: "adRevenue", Op: prune.OpGT, Const: 500_000}}}
+	topn := &Query{Kind: KindTopN, Table: uv, OrderCol: "adRevenue", N: 5}
+	det := func() prune.Pruner {
+		p, err := prune.NewDetTopN(prune.DetTopNConfig{N: 50, Thresholds: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// A FILTER program reading a second wire value the 1-predicate query
+	// never ships.
+	wide := func() prune.Pruner {
+		p, err := prune.NewFilter(prune.FilterConfig{
+			Predicates: []prune.Predicate{{ValIdx: 0, Op: prune.OpGT, Const: 1}, {ValIdx: 1, Op: prune.OpLT, Const: 9}},
+			Formula:    boolexpr.And{boolexpr.Leaf{V: 0}, boolexpr.Leaf{V: 1}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	cases := []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"mismatched pruner type", func() error {
+			_, err := ExecCheetah(having, CheetahOptions{Pruner: det()})
+			return err
+		}, "having needs a *prune.Having"},
+		{"filter program wider than the query", func() error {
+			_, err := ExecCheetah(filter, CheetahOptions{Pruner: wide()})
+			return err
+		}, "reads wire value 1"},
+		{"filter program wider than the query, scalar", func() error {
+			_, err := ExecCheetah(filter, CheetahOptions{Pruner: wide(), Scalar: true})
+			return err
+		}, "reads wire value 1"},
+		{"filter program wider than the query, sharded", func() error {
+			_, err := ExecSharded(filter, ShardedOptions{Shards: 2, Pruners: []prune.Pruner{wide(), wide()}})
+			return err
+		}, "reads wire value 1"},
+		{"flow without its program", func() error {
+			_, err := ExecCheetah(topn, CheetahOptions{Flow: &countFlow{}})
+			return err
+		}, "needs its installed program"},
+		{"sharded program of an unknown type", func() error {
+			_, err := ExecSharded(topn, ShardedOptions{Shards: 2, Pruners: []prune.Pruner{opaquePruner{det()}, opaquePruner{det()}}})
+			return err
+		}, "needs a *prune.RandTopN or *prune.DetTopN"},
+	}
+	for _, c := range cases {
+		err := c.run()
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
 	}
 }
 

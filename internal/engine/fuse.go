@@ -1,22 +1,18 @@
 package engine
 
-// This file is the fused query compiler — the default execution layer of
-// ExecCheetah. The batched pipeline (batch.go) is already columnar, but
-// it still round-trips every chunk through three materialized passes
-// (encode into stream buffers → BatchProgram.ProcessBatch filling a
-// Decision slice → compact survivors), with an interface dispatch per
-// chunk and the pruner's per-entry state transition hidden behind it.
-// Here each query kind compiles to one monomorphic loop instead: the
-// loop reads table columns directly, inlines the pruner's core state
-// transition through the concrete type's Fused* entry points
-// (prune/fused.go), and consumes survivors in place — no wire buffers,
-// no Decision slice, no per-chunk dispatch.
+// This file is the fused query compiler — the execution layer of
+// ExecCheetah, ExecSharded and streaming deltas. Each query kind
+// compiles to one monomorphic loop: the loop reads table columns
+// directly, inlines the pruner's core state transition through the
+// concrete type's Fused* entry points (prune/fused.go), and consumes
+// survivors in place — no wire buffers, no Decision slice, no per-chunk
+// dispatch.
 //
 // Equivalence contract. For every kind the fused loop visits entries in
-// the exact arrival order of the batched/scalar paths (the round-robin
-// worker interleave — see rrStarts), drives the same state transitions,
-// and deposits the same Stats via AddStats, so Results, Traffic and
-// Stats are bit-identical to the batched path — with two deliberate
+// the exact arrival order of the scalar path (the round-robin worker
+// interleave — see rrStarts), drives the same state transitions, and
+// deposits the same Stats via AddStats, so Results, Traffic and Stats
+// are bit-identical to the scalar oracle — with two deliberate
 // relaxations, both invisible in Results:
 //
 //   - Stateless or order-insensitive passes (FILTER's predicate sweeps,
@@ -28,14 +24,16 @@ package engine
 //     from the scalar oracle, while final Results stay bit-identical
 //     (the master's heap completion is exact on whatever survives).
 //
-// Gating. The compiler only engages when it can own the program for the
-// whole run: the pruner must be one of the shipped concrete types, and
-// the dataplane must grant direct access through FusedProgram() — the
-// exclusive progDataplane always does; a serve.Lease does only while its
-// pipeline is healthy and no fault injector is armed (chaos runs keep
-// the batched per-batch kill semantics). Anything else — a third-party
-// pruner, a wrong concrete type for the kind, an exotic predicate
-// layout — falls back to the batched pipeline untouched.
+// Flows. On a shared pipeline the loops still drive the flow's installed
+// program directly, and mark a chunk boundary on the flow (Flow.Chunk)
+// before every chunkEntries entries of a pass, which is where an armed
+// fault injector may kill the switch. A pass that crossed a death keeps
+// running on the (possibly scrubbed) program; its caller discards it
+// once Flow.Err reports the failure.
+//
+// Fallback. A pruner type the compiler does not know, or a JOIN program
+// already past its build phase, runs on the scalar per-entry path
+// (cheetah.go) instead.
 
 import (
 	"strconv"
@@ -49,20 +47,102 @@ import (
 	"cheetah/internal/table"
 )
 
-// fuseGate reports whether the execution may drive pruner's state
-// directly: the resolved dataplane must expose direct program access and
-// hand back the very same program the options carry.
-func fuseGate(opts CheetahOptions, pruner prune.Pruner) bool {
-	fp, ok := opts.dataplaneFor(pruner).(interface{ FusedProgram() switchsim.Program })
-	if !ok {
-		return false
+// chunkEntries is the number of entries a pass streams between two
+// chunk boundaries on its flow (Flow.Chunk). It is a variable only so
+// tests can force multi-chunk streams on small tables.
+var chunkEntries = 1 << 18
+
+// chunkHook marks the chunk boundaries of one pass on its flow: step is
+// called once per unit of the pass's loop (an entry, a sweep, or a
+// worker-interleave cycle) and calls Chunk before every chunkEntries
+// entries' worth of units, starting with the first. A nil flow never
+// fires.
+type chunkHook struct {
+	flow Flow
+	per  int // units per chunk
+	left int // units left in the current chunk
+}
+
+// newChunkHook returns the hook of a pass whose loop steps unit entries
+// at a time.
+func newChunkHook(flow Flow, unit int) chunkHook {
+	return chunkHook{flow: flow, per: max(1, chunkEntries/max(1, unit))}
+}
+
+func (c *chunkHook) step() {
+	if c.left == 0 {
+		c.left = c.per
+		if c.flow != nil {
+			c.flow.Chunk()
+		}
 	}
-	return fp.FusedProgram() == switchsim.Program(pruner)
+	c.left--
+}
+
+// compiledProgram resolves the execution's program as P, the concrete
+// type the kind's fused loop drives: the caller's program, or the
+// kind's default. ok=false means the caller's program is of another
+// type, which the scalar path runs instead.
+func compiledProgram[P prune.Pruner](q *Query, opts CheetahOptions) (p P, ok bool, err error) {
+	pr := opts.Pruner
+	if pr == nil {
+		if pr, err = defaultProgram(q, opts.Seed); err != nil {
+			return p, true, err
+		}
+	}
+	p, ok = pr.(P)
+	return p, ok, nil
+}
+
+// colAcc is a hoisted typed accessor for one column.
+type colAcc struct {
+	isStr bool
+	ints  []int64
+	strs  []string
+}
+
+func accessorFor(t *table.Table, c int) colAcc {
+	if t.ColumnType(c) == table.String {
+		return colAcc{isStr: true, strs: t.StringCol(c)}
+	}
+	return colAcc{ints: t.Int64Col(c)}
+}
+
+// fingerprintAccs is fingerprintRow over hoisted accessors; it must stay
+// bit-identical to fingerprintRow.
+func fingerprintAccs(accs []colAcc, r int, seed uint64) uint64 {
+	h := seed ^ 0xfeedface
+	for i := range accs {
+		var cell uint64
+		if accs[i].isStr {
+			cell = hashutil.HashString64(accs[i].strs[r], seed)
+		} else {
+			cell = hashutil.HashUint64(uint64(accs[i].ints[r]), seed)
+		}
+		h = hashutil.Mix64(h ^ cell)
+	}
+	return h
+}
+
+// growProjected makes room in rows for extra more survivors. A regrowth
+// is sized from the rate observed so far — len(rows)+extra survivors
+// out of seen entries, with remaining entries still to come — plus
+// headroom, instead of append's doubling.
+func growProjected(rows []int, extra, seen, remaining int) []int {
+	need := len(rows) + extra
+	if need <= cap(rows) {
+		return rows
+	}
+	projected := need + int(float64(remaining)*float64(need)/float64(seen))
+	projected += projected / 8 // headroom against rate drift
+	grown := make([]int, len(rows), projected)
+	copy(grown, rows)
+	return grown
 }
 
 // rrStarts returns the worker partition boundaries of rows
 // [lo, lo+n): partition w is [starts[w], starts[w+1]), identical to
-// table.Partition / interleave / batchPass. The fused loops replay the
+// table.Partition / interleave. The fused loops replay the
 // round-robin arrival order with
 //
 //	for k, done := 0, 0; done < n; k++ {
@@ -86,7 +166,7 @@ func rrStarts(lo, n, workers int) []int {
 
 // rowFP is fingerprintRow compiled to a direct (devirtualized) per-row
 // call, with the dominant single-column cases hoisted to a raw column
-// slice; it must stay bit-identical to fingerprintRow / encFingerprint.
+// slice; it must stay bit-identical to fingerprintRow.
 type rowFP struct {
 	strs []string
 	ints []int64
@@ -120,6 +200,90 @@ func (f *rowFP) fp(r int) uint64 {
 		return hashutil.Mix64(f.h0 ^ hashutil.HashUint64(uint64(f.ints[r]), f.seed))
 	}
 	return fingerprintAccs(f.accs, r, f.seed)
+}
+
+// fill writes the fingerprints of rows into fps. It visits the
+// entries stride apart as separate sweeps — in a worker-interleaved
+// chunk, sweep w walks partition w's rows in order, which keeps the
+// column reads sequential.
+func (f *rowFP) fill(fps []uint64, rows []int, stride int) {
+	for w := 0; w < stride; w++ {
+		switch {
+		case f.strs != nil:
+			for i := w; i < len(rows); i += stride {
+				fps[i] = hashutil.Mix64(f.h0 ^ hashutil.HashString64(f.strs[rows[i]], f.seed))
+			}
+		case f.ints != nil:
+			for i := w; i < len(rows); i += stride {
+				fps[i] = hashutil.Mix64(f.h0 ^ hashutil.HashUint64(uint64(f.ints[rows[i]]), f.seed))
+			}
+		default:
+			for i := w; i < len(rows); i += stride {
+				fps[i] = fingerprintAccs(f.accs, rows[i], f.seed)
+			}
+		}
+	}
+}
+
+// fpChunk caps the entries a fingerprint scan hashes ahead of its prune
+// loop. Hashing a chunk in one tight loop keeps neighbouring entries'
+// hash chains in flight together; interleaved with the prune loop's
+// data-dependent branches and map probes they would run one at a time.
+const fpChunk = 1024
+
+// fpScan walks rows [0, n) of a table in worker-interleave order, a
+// chunk at a time: each next() hands out the chunk's rows and their key
+// fingerprints, and marks a chunk boundary on the pass's flow.
+type fpScan struct {
+	starts    []int
+	workers   int
+	k, cycles int // next cycle, cycle count (the largest partition)
+	per       int // cycles per chunk
+	fpr       rowFP
+	hook      chunkHook
+	rows      []int
+	fps       []uint64
+}
+
+func newFPScan(t *table.Table, cols []int, seed uint64, workers int, flow Flow) *fpScan {
+	n := t.NumRows()
+	if workers <= 0 {
+		workers = 1
+	}
+	starts := rrStarts(0, n, workers)
+	cycles := 0
+	for w := 0; w < workers; w++ {
+		cycles = max(cycles, starts[w+1]-starts[w])
+	}
+	size := min(fpChunk, chunkEntries)
+	per := max(1, size/workers)
+	return &fpScan{
+		starts: starts, workers: workers, cycles: cycles, per: per,
+		fpr:  newRowFP(t, cols, seed),
+		hook: newChunkHook(flow, per*workers),
+		rows: make([]int, 0, per*workers),
+		fps:  make([]uint64, per*workers),
+	}
+}
+
+// next loads the next chunk into s.rows and s.fps, reporting false once
+// every row was handed out.
+func (s *fpScan) next() bool {
+	if s.k >= s.cycles {
+		return false
+	}
+	s.hook.step()
+	rows := s.rows[:0]
+	for end := min(s.k+s.per, s.cycles); s.k < end; s.k++ {
+		for w := 0; w < s.workers; w++ {
+			if r := s.starts[w] + s.k; r < s.starts[w+1] {
+				rows = append(rows, r)
+			}
+		}
+	}
+	s.rows, s.fps = rows, s.fps[:len(rows)]
+	s.fpr.fill(s.fps, rows, s.workers)
+	return true
 }
 
 // --- FILTER ------------------------------------------------------------
@@ -159,8 +323,8 @@ func predPasses(v int64, op prune.CmpOp, c int64) bool {
 }
 
 // evalIntPred sweeps one raw int64 wire column, OR-ing bit into the
-// bit-vector of every passing row — Filter.ProcessBatch's per-predicate
-// loop reading the table column directly.
+// bit-vector of every passing row — the per-predicate stage of
+// Filter.Process, swept over a raw table column.
 func evalIntPred(bits []uint32, col []int64, pr *prune.Predicate, bit uint32) {
 	if pr.Precomputed {
 		for j, v := range col {
@@ -239,17 +403,13 @@ func evalLikePred(bits []uint32, col []string, like string, pr *prune.Predicate,
 // row order yields the same totals as the worker interleave, and the
 // result assembly sorts. A non-nil sel scans that row selection of t
 // (spans then index sel): each chunk's wire values are gathered through
-// it, and survivors are reported as t's rows. ok=false means the
-// pruner's predicate layout does not match the query's wire format; the
-// caller falls back.
+// it, and survivors are reported as t's rows. f's predicates must read
+// only the query's wire values (checkFilterWire).
 func fusedFilterScan(t *table.Table, sel []int, preds []FilterPred, cols []int, f *prune.Filter,
-	spans []span, rows *[]int) (sent, fwd int, ok bool) {
+	spans []span, flow Flow, rows *[]int) (sent, fwd int) {
 	sPreds, tt := f.FusedSpec()
-	for i := range sPreds {
-		if sPreds[i].ValIdx >= len(preds) {
-			return 0, 0, false
-		}
-	}
+	step := min(fusedFilterChunk, chunkEntries)
+	hook := newChunkHook(flow, step)
 	type wire struct {
 		ints []int64
 		strs []string
@@ -279,8 +439,9 @@ func fusedFilterScan(t *table.Table, sel []int, preds []FilterPred, cols []int, 
 	bp := filterBitsPool.Get().(*[]uint32)
 	bits := *bp
 	for _, sp := range spans {
-		for lo := sp.lo; lo < sp.hi; lo += fusedFilterChunk {
-			hi := min(lo+fusedFilterChunk, sp.hi)
+		for lo := sp.lo; lo < sp.hi; lo += step {
+			hook.step()
+			hi := min(lo+step, sp.hi)
 			m := hi - lo
 			if cap(bits) < m {
 				bits = make([]uint32, m)
@@ -336,7 +497,7 @@ func fusedFilterScan(t *table.Table, sel []int, preds []FilterPred, cols []int, 
 	}
 	*bp = bits
 	filterBitsPool.Put(bp)
-	return sent, fwd, true
+	return sent, fwd
 }
 
 func fusedFilter(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
@@ -345,18 +506,9 @@ func fusedFilter(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 		cols[i] = q.Table.Schema().MustIndex(p.Col)
 	}
 	trusted := opts.Pruner == nil
-	var f *prune.Filter
-	if trusted {
-		p, err := DefaultPruner(q, opts.Seed)
-		if err != nil {
-			return nil, true, err
-		}
-		f = p.(*prune.Filter)
-	} else {
-		var ok bool
-		if f, ok = opts.Pruner.(*prune.Filter); !ok || !fuseGate(opts, f) {
-			return nil, false, nil
-		}
+	f, ok, err := compiledProgram[*prune.Filter](q, opts)
+	if !ok || err != nil {
+		return nil, ok, err
 	}
 	run := &CheetahRun{PrunerName: f.Name()}
 	spans := fullSpans(q.Table)
@@ -368,10 +520,7 @@ func fusedFilter(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 	if trusted && q.CountOnly {
 		rowsPtr = nil
 	}
-	sent, fwd, ok := fusedFilterScan(q.Table, nil, q.Predicates, cols, f, spans, rowsPtr)
-	if !ok {
-		return nil, false, nil
-	}
+	sent, fwd := fusedFilterScan(q.Table, nil, q.Predicates, cols, f, spans, opts.Flow, rowsPtr)
 	f.AddStats(uint64(sent), uint64(sent-fwd))
 	run.Traffic.EntriesSent = sent
 	run.Traffic.Forwarded = fwd
@@ -413,55 +562,43 @@ func fusedFilter(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 
 // --- DISTINCT ----------------------------------------------------------
 
+// distinctScratch is the pooled master-side dedup state of one DISTINCT
+// run.
+type distinctScratch struct {
+	seen       map[uint64]struct{}
+	uniqueRows []int
+}
+
+var distinctScratchPool = sync.Pool{New: func() any {
+	return &distinctScratch{seen: make(map[uint64]struct{}, 4096)}
+}}
+
 // fusedDistinctScan streams every row's key fingerprint through the
 // cache matrix in worker-interleave order and dedupes survivors on the
 // fly: first-seen fingerprints land in seen/rows (the master's unique
 // list), later duplicates only count as forwarded.
-func fusedDistinctScan(t *table.Table, cols []int, seed uint64, m *cache.Matrix, workers int,
+func fusedDistinctScan(t *table.Table, cols []int, seed uint64, m *cache.Matrix, workers int, flow Flow,
 	seen map[uint64]struct{}, rows *[]int) (sent, fwd int) {
-	n := t.NumRows()
-	if n == 0 {
-		return 0, 0
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	starts := rrStarts(0, n, workers)
-	fpr := newRowFP(t, cols, seed)
-	for k, done := 0, 0; done < n; k++ {
-		for w := 0; w < workers; w++ {
-			r := starts[w] + k
-			if r >= starts[w+1] {
-				continue
-			}
-			done++
-			fp := fpr.fp(r)
+	s := newFPScan(t, cols, seed, workers, flow)
+	for s.next() {
+		for i, fp := range s.fps {
 			if m.Insert(fp) {
 				continue
 			}
 			fwd++
 			if _, dup := seen[fp]; !dup {
 				seen[fp] = struct{}{}
-				*rows = append(*rows, r)
+				*rows = append(*rows, s.rows[i])
 			}
 		}
 	}
-	return n, fwd
+	return t.NumRows(), fwd
 }
 
 func fusedDistinct(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
-	var d *prune.Distinct
-	if opts.Pruner != nil {
-		var ok bool
-		if d, ok = opts.Pruner.(*prune.Distinct); !ok || !fuseGate(opts, d) {
-			return nil, false, nil
-		}
-	} else {
-		p, err := DefaultPruner(q, opts.Seed)
-		if err != nil {
-			return nil, true, err
-		}
-		d = p.(*prune.Distinct)
+	d, ok, err := compiledProgram[*prune.Distinct](q, opts)
+	if !ok || err != nil {
+		return nil, ok, err
 	}
 	cols := make([]int, len(q.DistinctCols))
 	for i, c := range q.DistinctCols {
@@ -471,7 +608,7 @@ func fusedDistinct(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 	ds := distinctScratchPool.Get().(*distinctScratch)
 	clear(ds.seen)
 	ds.uniqueRows = ds.uniqueRows[:0]
-	sent, fwd := fusedDistinctScan(q.Table, cols, opts.Seed, d.FusedMatrix(), opts.Workers,
+	sent, fwd := fusedDistinctScan(q.Table, cols, opts.Seed, d.FusedMatrix(), opts.Workers, opts.Flow,
 		ds.seen, &ds.uniqueRows)
 	d.AddStats(uint64(sent), uint64(sent-fwd))
 	run.Traffic.EntriesSent = sent
@@ -510,9 +647,9 @@ func fusedDistinct(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 // choice comes from the counter-indexed RNG stream
 // (prune.FusedRandState): the per-entry draw is Mix64 of a running
 // counter — no loop-carried dependency — and the prune test is the
-// min-cache fast path of RandTopN.ProcessBatch with the steady-state
-// splice specialized to InsertFull. Two sanctioned liberties beyond the
-// batched path's: the scan runs in plain row order rather than
+// per-row minimum-cache test (cache.RollingMin.Mins) with the
+// steady-state splice specialized to InsertFull. Two sanctioned
+// liberties beyond the scalar path's: the scan runs in plain row order rather than
 // worker-interleave (the row draw is value-independent, so any
 // deterministic entry↔counter pairing gives the same uniform-row
 // guarantee — this pruner's decisions already deviate from the scalar
@@ -590,7 +727,7 @@ func fusedTopNRandSpan(ints []int64, lo, hi int, p *prune.RandTopN,
 
 // fusedTopNDetSpan is fusedTopNRandSpan for the deterministic threshold
 // pruner: the per-entry transition is DetTopN.FusedOffer.
-func fusedTopNDetSpan(ints []int64, lo, hi, workers int, p *prune.DetTopN,
+func fusedTopNDetSpan(ints []int64, lo, hi, workers int, flow Flow, p *prune.DetTopN,
 	h *int64Heap, topN int) (sent, fwd int) {
 	n := hi - lo
 	if n == 0 {
@@ -600,7 +737,9 @@ func fusedTopNDetSpan(ints []int64, lo, hi, workers int, p *prune.DetTopN,
 		workers = 1
 	}
 	starts := rrStarts(lo, n, workers)
+	hook := newChunkHook(flow, workers)
 	for k, done := 0, 0; done < n; k++ {
+		hook.step()
 		for w := 0; w < workers; w++ {
 			r := starts[w] + k
 			if r >= starts[w+1] {
@@ -623,55 +762,57 @@ func fusedTopNDetSpan(ints []int64, lo, hi, workers int, p *prune.DetTopN,
 	return n, fwd
 }
 
-func fusedTopN(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
-	var rnd *prune.RandTopN
-	var det *prune.DetTopN
-	var pr prune.Pruner
-	if opts.Pruner != nil {
-		switch p := opts.Pruner.(type) {
-		case *prune.RandTopN:
-			rnd, pr = p, p
-		case *prune.DetTopN:
-			det, pr = p, p
-		default:
-			return nil, false, nil
-		}
-		if !fuseGate(opts, pr) {
-			return nil, false, nil
-		}
-	} else {
-		p, err := DefaultPruner(q, opts.Seed)
-		if err != nil {
-			return nil, true, err
-		}
-		rnd = p.(*prune.RandTopN)
-		pr = rnd
-	}
-	col := q.Table.Schema().MustIndex(q.OrderCol)
-	ints := q.Table.Int64Col(col)
-	run := &CheetahRun{PrunerName: pr.Name()}
-	h := make(int64Heap, 0, q.N)
-	sent, fwd := 0, 0
+// fusedTopNScan streams t's order column — only its unskippable spans
+// when skip is set and t carries a skip index — through rnd (or, when
+// rnd is nil, det) into the N-heap h, and deposits the pass's stats.
+func fusedTopNScan(t *table.Table, col, topN, workers int, rnd *prune.RandTopN, det *prune.DetTopN,
+	flow Flow, skip bool, h *int64Heap, skipped *SkipStats) (sent, fwd int) {
+	ints := t.Int64Col(col)
 	scan := func(lo, hi int) {
-		var s, f int
-		if rnd != nil {
-			s, f = fusedTopNRandSpan(ints, lo, hi, rnd, &h, q.N)
-		} else {
-			s, f = fusedTopNDetSpan(ints, lo, hi, opts.Workers, det, &h, q.N)
+		if rnd == nil {
+			s, f := fusedTopNDetSpan(ints, lo, hi, workers, flow, det, h, topN)
+			sent += s
+			fwd += f
+			return
 		}
-		sent += s
-		fwd += f
+		// The counter stream is contiguous across calls, so cutting the
+		// span into chunks changes no decision.
+		hook := newChunkHook(flow, chunkEntries)
+		for a := lo; a < hi; a += chunkEntries {
+			hook.step()
+			s, f := fusedTopNRandSpan(ints, a, min(a+chunkEntries, hi), rnd, h, topN)
+			sent += s
+			fwd += f
+		}
 	}
-	if opts.Skip && q.Table.SkipIndex() != nil {
-		topNSpanScan(q.Table, col, q.N, &h, &run.Skipped, scan)
+	if skip && t.SkipIndex() != nil {
+		topNSpanScan(t, col, topN, h, skipped, scan)
 	} else {
-		scan(0, q.Table.NumRows())
+		scan(0, t.NumRows())
 	}
 	if rnd != nil {
 		rnd.AddStats(uint64(sent), uint64(sent-fwd))
 	} else {
 		det.AddStats(uint64(sent), uint64(sent-fwd))
 	}
+	return sent, fwd
+}
+
+func fusedTopN(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
+	pr, ok, err := compiledProgram[prune.Pruner](q, opts)
+	if err != nil {
+		return nil, ok, err
+	}
+	rnd, isRand := pr.(*prune.RandTopN)
+	det, isDet := pr.(*prune.DetTopN)
+	if !isRand && !isDet {
+		return nil, false, nil
+	}
+	col := q.Table.Schema().MustIndex(q.OrderCol)
+	run := &CheetahRun{PrunerName: pr.Name()}
+	// The heap never holds more than the table's rows, whatever N claims.
+	h := make(int64Heap, 0, min(q.N, q.Table.NumRows()))
+	sent, fwd := fusedTopNScan(q.Table, col, q.N, opts.Workers, rnd, det, opts.Flow, opts.Skip, &h, &run.Skipped)
 	run.Traffic.EntriesSent = sent
 	run.Traffic.Forwarded = fwd
 	cells := make([]string, len(h))
@@ -691,27 +832,14 @@ func fusedTopN(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 // keyed-max matrix in worker-interleave order, folding survivors into
 // the master's fingerprint-keyed maxima with one representative row per
 // key for late materialization.
-func fusedGroupByMaxScan(t *table.Table, kc, vc int, seed uint64, g *prune.GroupBy, workers int,
+func fusedGroupByMaxScan(t *table.Table, kc, vc int, seed uint64, g *prune.GroupBy, workers int, flow Flow,
 	keyIdx map[uint64]int, maxs *[]int64, reps *[]int) (sent, fwd int) {
-	n := t.NumRows()
-	if n == 0 {
-		return 0, 0
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	starts := rrStarts(0, n, workers)
-	fpr := newRowFP(t, []int{kc}, seed)
 	vals := t.Int64Col(vc)
 	m, neg := g.FusedMatrix()
-	for k, done := 0, 0; done < n; k++ {
-		for w := 0; w < workers; w++ {
-			r := starts[w] + k
-			if r >= starts[w+1] {
-				continue
-			}
-			done++
-			fp := fpr.fp(r)
+	s := newFPScan(t, []int{kc}, seed, workers, flow)
+	for s.next() {
+		for i, fp := range s.fps {
+			r := s.rows[i]
 			v := vals[r]
 			ov := v
 			if neg {
@@ -721,9 +849,9 @@ func fusedGroupByMaxScan(t *table.Table, kc, vc int, seed uint64, g *prune.Group
 				continue
 			}
 			fwd++
-			if i, ok := keyIdx[fp]; ok {
-				if v > (*maxs)[i] {
-					(*maxs)[i] = v
+			if k, ok := keyIdx[fp]; ok {
+				if v > (*maxs)[k] {
+					(*maxs)[k] = v
 				}
 			} else {
 				keyIdx[fp] = len(*maxs)
@@ -732,22 +860,13 @@ func fusedGroupByMaxScan(t *table.Table, kc, vc int, seed uint64, g *prune.Group
 			}
 		}
 	}
-	return n, fwd
+	return t.NumRows(), fwd
 }
 
 func fusedGroupByMax(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
-	var g *prune.GroupBy
-	if opts.Pruner != nil {
-		var ok bool
-		if g, ok = opts.Pruner.(*prune.GroupBy); !ok || !fuseGate(opts, g) {
-			return nil, false, nil
-		}
-	} else {
-		p, err := DefaultPruner(q, opts.Seed)
-		if err != nil {
-			return nil, true, err
-		}
-		g = p.(*prune.GroupBy)
+	g, ok, err := compiledProgram[*prune.GroupBy](q, opts)
+	if !ok || err != nil {
+		return nil, ok, err
 	}
 	kc := q.Table.Schema().MustIndex(q.KeyCol)
 	vc := q.Table.Schema().MustIndex(q.AggCol)
@@ -755,7 +874,7 @@ func fusedGroupByMax(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 	keyIdx := make(map[uint64]int, 1024)
 	var maxs []int64
 	var reps []int
-	sent, fwd := fusedGroupByMaxScan(q.Table, kc, vc, opts.Seed, g, opts.Workers, keyIdx, &maxs, &reps)
+	sent, fwd := fusedGroupByMaxScan(q.Table, kc, vc, opts.Seed, g, opts.Workers, opts.Flow, keyIdx, &maxs, &reps)
 	g.AddStats(uint64(sent), uint64(sent-fwd))
 	run.Traffic.EntriesSent = sent
 	run.Traffic.Forwarded = fwd
@@ -778,28 +897,15 @@ func fusedGroupByMax(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 // fusedGroupBySumScan streams (key fingerprint, value) through the
 // in-switch aggregation matrix in worker-interleave order. The key
 // dictionary entry is recorded before ProcessEmit, which may rewrite the
-// forwarded pair with an evicted aggregate (batchGroupBySum's pre-hook).
-func fusedGroupBySumScan(t *table.Table, kc, vc int, seed uint64, gs *prune.GroupBySum, workers int,
+// forwarded pair with an evicted aggregate.
+func fusedGroupBySumScan(t *table.Table, kc, vc int, seed uint64, gs *prune.GroupBySum, workers int, flow Flow,
 	fpToKey map[uint64]string, sums map[uint64]int64) (sent, fwd int) {
-	n := t.NumRows()
-	if n == 0 {
-		return 0, 0
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	starts := rrStarts(0, n, workers)
-	fpr := newRowFP(t, []int{kc}, seed)
 	vals := t.Int64Col(vc)
 	var vbuf [2]uint64
-	for k, done := 0, 0; done < n; k++ {
-		for w := 0; w < workers; w++ {
-			r := starts[w] + k
-			if r >= starts[w+1] {
-				continue
-			}
-			done++
-			fp := fpr.fp(r)
+	s := newFPScan(t, []int{kc}, seed, workers, flow)
+	for s.next() {
+		for i, fp := range s.fps {
+			r := s.rows[i]
 			if _, ok := fpToKey[fp]; !ok {
 				fpToKey[fp] = cellString(t, kc, r)
 			}
@@ -811,29 +917,20 @@ func fusedGroupBySumScan(t *table.Table, kc, vc int, seed uint64, gs *prune.Grou
 			}
 		}
 	}
-	return n, fwd
+	return t.NumRows(), fwd
 }
 
 func fusedGroupBySum(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
-	var gs *prune.GroupBySum
-	if opts.Pruner != nil {
-		var ok bool
-		if gs, ok = opts.Pruner.(*prune.GroupBySum); !ok || !fuseGate(opts, gs) {
-			return nil, false, nil
-		}
-	} else {
-		p, err := prune.NewGroupBySum(prune.DefaultGroupBySumConfig(opts.Seed))
-		if err != nil {
-			return nil, true, err
-		}
-		gs = p
+	gs, ok, err := compiledProgram[*prune.GroupBySum](q, opts)
+	if !ok || err != nil {
+		return nil, ok, err
 	}
 	kc := q.Table.Schema().MustIndex(q.KeyCol)
 	vc := q.Table.Schema().MustIndex(q.AggCol)
 	run := &CheetahRun{PrunerName: gs.Name()}
 	sums := map[uint64]int64{}
 	fpToKey := map[uint64]string{}
-	sent, fwd := fusedGroupBySumScan(q.Table, kc, vc, opts.Seed, gs, opts.Workers, fpToKey, sums)
+	sent, fwd := fusedGroupBySumScan(q.Table, kc, vc, opts.Seed, gs, opts.Workers, opts.Flow, fpToKey, sums)
 	run.Traffic.EntriesSent = sent
 	run.Traffic.Forwarded = fwd
 	for _, e := range gs.Drain() {
@@ -855,34 +952,20 @@ func fusedGroupBySum(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 // fusedHavingPass1 streams (key fingerprint, value) through the
 // Count-Min sketch in worker-interleave order, collecting candidate key
 // fingerprints.
-func fusedHavingPass1(t *table.Table, kc, vc int, seed uint64, h *prune.Having, workers int,
+func fusedHavingPass1(t *table.Table, kc, vc int, seed uint64, h *prune.Having, workers int, flow Flow,
 	candidates map[uint64]bool) (sent, fwd int) {
-	n := t.NumRows()
-	if n == 0 {
-		return 0, 0
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	starts := rrStarts(0, n, workers)
-	fpr := newRowFP(t, []int{kc}, seed)
 	vals := t.Int64Col(vc)
-	for k, done := 0, 0; done < n; k++ {
-		for w := 0; w < workers; w++ {
-			r := starts[w] + k
-			if r >= starts[w+1] {
-				continue
-			}
-			done++
-			fp := fpr.fp(r)
-			if h.FusedOffer(fp, vals[r]) {
+	s := newFPScan(t, []int{kc}, seed, workers, flow)
+	for s.next() {
+		for i, fp := range s.fps {
+			if h.FusedOffer(fp, vals[s.rows[i]]) {
 				continue
 			}
 			fwd++
 			candidates[fp] = true
 		}
 	}
-	return n, fwd
+	return t.NumRows(), fwd
 }
 
 // fusedHavingPass2 is the exact partial second pass: candidate keys'
@@ -901,24 +984,15 @@ func fusedHavingPass2(t *table.Table, kc int, vals []int64, fpr *rowFP,
 }
 
 func fusedHaving(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
-	var h *prune.Having
-	if opts.Pruner != nil {
-		var ok bool
-		if h, ok = opts.Pruner.(*prune.Having); !ok || !fuseGate(opts, h) {
-			return nil, false, nil
-		}
-	} else {
-		p, err := prune.NewHaving(prune.DefaultHavingConfig(q.Threshold, opts.Seed))
-		if err != nil {
-			return nil, true, err
-		}
-		h = p
+	h, ok, err := compiledProgram[*prune.Having](q, opts)
+	if !ok || err != nil {
+		return nil, ok, err
 	}
 	kc := q.Table.Schema().MustIndex(q.KeyCol)
 	vc := q.Table.Schema().MustIndex(q.AggCol)
 	run := &CheetahRun{PrunerName: h.Name()}
 	candidates := map[uint64]bool{}
-	sent, fwd := fusedHavingPass1(q.Table, kc, vc, opts.Seed, h, opts.Workers, candidates)
+	sent, fwd := fusedHavingPass1(q.Table, kc, vc, opts.Seed, h, opts.Workers, opts.Flow, candidates)
 	h.AddStats(uint64(sent), uint64(sent-fwd))
 	run.Traffic.EntriesSent = sent
 	run.Traffic.Forwarded = fwd
@@ -978,12 +1052,14 @@ func (in *joinInput) row(o int) int {
 	return o
 }
 
-// probe appends to rows the side's rows whose fingerprint (fps, in scan
-// order) tests positive in mem.
-func (in *joinInput) probe(fps []uint64, mem sketch.Membership, rows []int) []int {
+// probe re-streams the side from its fingerprints (fps, in scan order)
+// and appends to rows the rows whose fingerprint tests positive in mem.
+func (in *joinInput) probe(fps []uint64, mem sketch.Membership, flow Flow, rows []int) []int {
+	hook := newChunkHook(flow, 1)
 	k := 0
 	for _, sp := range in.spans {
 		for o := sp.lo; o < sp.hi; o++ {
+			hook.step()
 			if mem.Contains(fps[k]) {
 				rows = append(rows, in.row(o))
 			}
@@ -995,11 +1071,13 @@ func (in *joinInput) probe(fps []uint64, mem sketch.Membership, rows []int) []in
 
 // scan streams the side once, fingerprinting each key, and appends to
 // rows the rows whose fingerprint keep accepts.
-func (in *joinInput) scan(seed uint64, keep func(fp uint64) bool, rows []int) []int {
+func (in *joinInput) scan(seed uint64, flow Flow, keep func(fp uint64) bool, rows []int) []int {
 	fpr := newRowFP(in.t, []int{in.kc}, seed)
+	hook := newChunkHook(flow, 1)
 	seen, total := 0, in.size()
 	for _, sp := range in.spans {
 		for o := sp.lo; o < sp.hi; o++ {
+			hook.step()
 			seen++
 			if r := in.row(o); keep(fpr.fp(r)) {
 				if len(rows) == cap(rows) {
@@ -1017,33 +1095,33 @@ func (in *joinInput) scan(seed uint64, keep func(fp uint64) bool, rows []int) []
 // both sides' surviving rows and the traffic. Every key is fingerprinted
 // once. Bloom Add is commutative and Contains does not mutate, so any
 // order that completes a filter before probing against it matches the
-// batched passes' totals: the symmetric join keeps only the smaller
+// scalar protocol's totals: the symmetric join keeps only the smaller
 // side's fingerprints and streams the larger side once, training its
 // filter while probing the other's. j must be in its build phase.
-func fusedJoinCore(j *prune.Join, seed uint64, l, r joinInput) (left, right []int, tr Traffic) {
+func fusedJoinCore(j *prune.Join, seed uint64, flow Flow, l, r joinInput) (left, right []int, tr Traffic) {
 	fa, fb := j.FusedFilters()
 	nl, nr := l.size(), r.size()
 	if j.Asymmetric() {
 		// §4.3's small-table optimization: side A streams once, unpruned,
 		// while its filter trains; then side B is pruned against it.
-		left = l.scan(seed, func(fp uint64) bool { fa.Add(fp); return true }, make([]int, 0, nl))
+		left = l.scan(seed, flow, func(fp uint64) bool { fa.Add(fp); return true }, make([]int, 0, nl))
 		j.StartProbe()
-		right = r.scan(seed, fa.Contains, nil)
+		right = r.scan(seed, flow, fa.Contains, nil)
 		tr.EntriesSent = nl + nr
 	} else {
-		// The batched protocol's pass 1 trains both filters (packets
-		// terminate at the switch) and pass 2 sends both sides again,
-		// each pruned by the other's filter.
+		// The protocol's pass 1 trains both filters (packets terminate at
+		// the switch) and pass 2 sends both sides again, each pruned by
+		// the other's filter.
 		kept, streamed := &r, &l
 		keptF, streamedF := fb, fa
 		if nl < nr {
 			kept, streamed, keptF, streamedF = &l, &r, fa, fb
 		}
 		fps := make([]uint64, 0, kept.size())
-		kept.scan(seed, func(fp uint64) bool { fps = append(fps, fp); keptF.Add(fp); return false }, nil)
-		sRows := streamed.scan(seed, func(fp uint64) bool { streamedF.Add(fp); return keptF.Contains(fp) }, nil)
+		kept.scan(seed, flow, func(fp uint64) bool { fps = append(fps, fp); keptF.Add(fp); return false }, nil)
+		sRows := streamed.scan(seed, flow, func(fp uint64) bool { streamedF.Add(fp); return keptF.Contains(fp) }, nil)
 		j.StartProbe()
-		kRows := kept.probe(fps, streamedF, nil)
+		kRows := kept.probe(fps, streamedF, flow, nil)
 		left, right = sRows, kRows
 		if kept == &l {
 			left, right = kRows, sRows
@@ -1057,23 +1135,14 @@ func fusedJoinCore(j *prune.Join, seed uint64, l, r joinInput) (left, right []in
 }
 
 func fusedJoin(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
-	var j *prune.Join
-	if opts.Pruner != nil {
-		var ok bool
-		if j, ok = opts.Pruner.(*prune.Join); !ok || !fuseGate(opts, j) {
-			return nil, false, nil
-		}
-	} else {
-		p, err := prune.NewJoin(prune.DefaultJoinConfig(opts.Seed))
-		if err != nil {
-			return nil, true, err
-		}
-		j = p
+	j, ok, err := compiledProgram[*prune.Join](q, opts)
+	if !ok || err != nil {
+		return nil, ok, err
 	}
 	// The fused passes hard-code which filter each pass trains or probes;
-	// that only matches the batched path when the pruner starts in the
-	// build phase (a mid-phase standing pruner keeps the batched path,
-	// whose passes consult the live phase).
+	// that only matches the protocol when the pruner starts in the build
+	// phase (a mid-phase pruner runs on the scalar path, whose passes
+	// consult the live phase).
 	if j.Phase() != prune.PhaseBuild {
 		return nil, false, nil
 	}
@@ -1084,7 +1153,7 @@ func fusedJoin(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 	if opts.Skip {
 		r.spans, run.Skipped = joinRightSpans(q.Table, lc, q.Right, rc)
 	}
-	left, right, tr := fusedJoinCore(j, opts.Seed, l, r)
+	left, right, tr := fusedJoinCore(j, opts.Seed, opts.Flow, l, r)
 	run.Traffic = tr
 	run.Result = sortedResult(joinColumns(q), joinPairs(q, left, right))
 	run.Stats = j.Stats()
@@ -1100,7 +1169,7 @@ func fusedJoin(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 // Process leaves in the packet — the point the packet carries out,
 // which differs from the arriving row after a swap. A non-nil sel scans
 // that row selection of t, in selection order, with t's rows as ids.
-func fusedSkylineScan(t *table.Table, sel []int, cols []int, s *prune.Skyline, workers int,
+func fusedSkylineScan(t *table.Table, sel []int, cols []int, s *prune.Skyline, workers int, flow Flow,
 	rows *[]int) (sent, fwd int) {
 	n := t.NumRows()
 	if sel != nil {
@@ -1118,7 +1187,9 @@ func fusedSkylineScan(t *table.Table, sel []int, cols []int, s *prune.Skyline, w
 		ints[i] = t.Int64Col(c)
 	}
 	vals := make([]uint64, len(cols)+1)
+	hook := newChunkHook(flow, workers)
 	for k, done := 0, 0; done < n; k++ {
+		hook.step()
 		for w := 0; w < workers; w++ {
 			r := starts[w] + k
 			if r >= starts[w+1] {
@@ -1142,18 +1213,9 @@ func fusedSkylineScan(t *table.Table, sel []int, cols []int, s *prune.Skyline, w
 }
 
 func fusedSkyline(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
-	var s *prune.Skyline
-	if opts.Pruner != nil {
-		var ok bool
-		if s, ok = opts.Pruner.(*prune.Skyline); !ok || !fuseGate(opts, s) {
-			return nil, false, nil
-		}
-	} else {
-		p, err := DefaultPruner(q, opts.Seed)
-		if err != nil {
-			return nil, true, err
-		}
-		s = p.(*prune.Skyline)
+	s, ok, err := compiledProgram[*prune.Skyline](q, opts)
+	if !ok || err != nil {
+		return nil, ok, err
 	}
 	cols := make([]int, len(q.SkylineCols))
 	for i, c := range q.SkylineCols {
@@ -1161,7 +1223,7 @@ func fusedSkyline(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 	}
 	run := &CheetahRun{PrunerName: s.Name()}
 	var survivors []int
-	sent, fwd := fusedSkylineScan(q.Table, nil, cols, s, opts.Workers, &survivors)
+	sent, fwd := fusedSkylineScan(q.Table, nil, cols, s, opts.Workers, opts.Flow, &survivors)
 	run.Traffic.EntriesSent = sent
 	run.Traffic.Forwarded = fwd
 	for _, e := range s.Drain() {
@@ -1181,16 +1243,10 @@ func fusedSkyline(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 // --- dispatch ----------------------------------------------------------
 
 // execCheetahFused compiles and runs the query as one fused loop per
-// pass. ok=false means the compiler cannot own this execution (foreign
-// pruner type, no direct program access, mid-phase join state) and the
-// batched pipeline must run instead; when ok=true the run (or error) is
-// final.
+// pass. ok=false means the compiler cannot own this execution (a pruner
+// type it does not know, mid-phase join state) and the scalar path must
+// run instead; when ok=true the run (or error) is final.
 func execCheetahFused(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
-	if opts.Pruner == nil && opts.Flow != nil {
-		// The flow's installed program is not in our hands; only the
-		// batched mux may drive it.
-		return nil, false, nil
-	}
 	switch q.Kind {
 	case KindFilter:
 		return fusedFilter(q, opts)

@@ -1,44 +1,39 @@
 package engine
 
-// Sharded-path bindings of the fused compiler (fuse.go): each helper
-// runs one shard's whole pruning pass as fused loops when the shard's
-// dataplane grants direct program access and the pruner is a shipped
-// concrete type, returning ok=false to keep the shard on the chunked
-// batch pipeline. Traffic, Stats and the shard partials handed to the
-// global combine are bit-identical to the batched shard pass (with the
+// Sharded-path bindings of the fused compiler (fuse.go): each method
+// runs one shard's whole pruning pass as fused loops on the shard's
+// program. Traffic, Stats and the shard partials handed to the global
+// combine are bit-identical to a scalar pass over the shard (with the
 // same single sanctioned deviation as the single-switch path: the
 // randomized TOP N RNG stream). Failover composes unchanged — these run
 // inside shardExec.run, so a pass that crossed its switch's death is
-// discarded and redone exactly like a batched one.
+// discarded and redone.
 
 import (
+	"fmt"
+
 	"cheetah/internal/prune"
-	"cheetah/internal/switchsim"
 )
 
-// fusable reports whether the shard may drive its program's state
-// directly for a whole pass — the sharded counterpart of fuseGate.
-func (se *shardExec) fusable(opts ShardedOptions) bool {
-	if opts.NoFuse {
-		return false
+// shardProgram returns shard se's program as the concrete type its
+// compiled pass drives; a program of any other type is an error.
+func shardProgram[P prune.Pruner](se *shardExec) (P, error) {
+	p, ok := se.pruner.(P)
+	if !ok {
+		return p, fmt.Errorf("engine: sharded %v needs a %T program, got %T", se.q.Kind, p, se.pruner)
 	}
-	fp, ok := se.dp.(interface{ FusedProgram() switchsim.Program })
-	return ok && fp.FusedProgram() == switchsim.Program(se.pruner)
+	return p, nil
 }
 
-// fusedGatherPass runs one FILTER or SKYLINE shard stream (including
+// gatherPass runs one FILTER or SKYLINE shard stream (including
 // SKYLINE's control-plane drain) and returns the shard's surviving row
 // ids in q.Table's coordinates.
-func (se *shardExec) fusedGatherPass(opts ShardedOptions) ([]int, bool) {
-	if !se.fusable(opts) {
-		return nil, false
-	}
+func (se *shardExec) gatherPass(opts ShardedOptions) ([]int, error) {
 	q := se.q
-	switch q.Kind {
-	case KindFilter:
-		f, isF := se.pruner.(*prune.Filter)
-		if !isF {
-			return nil, false
+	if q.Kind == KindFilter {
+		f, err := shardProgram[*prune.Filter](se)
+		if err != nil {
+			return nil, err
 		}
 		cols := make([]int, len(q.Predicates))
 		for i, p := range q.Predicates {
@@ -46,54 +41,49 @@ func (se *shardExec) fusedGatherPass(opts ShardedOptions) ([]int, bool) {
 		}
 		spans := []span{{0, se.numRows()}}
 		if opts.Skip && se.sel == nil {
+			// Contiguous shards are views of the indexed root and skip
+			// against its (root-aligned) blocks; selections never skip.
 			spans, se.skipped = filterSpans(q, q.Table, cols)
 		}
 		var rows []int
-		sent, fwd, ok := fusedFilterScan(q.Table, se.sel, q.Predicates, cols, f, spans, &rows)
-		if !ok {
-			return nil, false
-		}
+		sent, fwd := fusedFilterScan(q.Table, se.sel, q.Predicates, cols, f, spans, se.flow, &rows)
 		f.AddStats(uint64(sent), uint64(sent-fwd))
 		se.traffic.EntriesSent = sent
 		se.traffic.Forwarded = fwd
 		se.traffic.MasterProcessed = len(rows)
-		return rows, true
-	case KindSkyline:
-		sk, isS := se.pruner.(*prune.Skyline)
-		if !isS {
-			return nil, false
-		}
-		cols := make([]int, len(q.SkylineCols))
-		for i, c := range q.SkylineCols {
-			cols[i] = q.Table.Schema().MustIndex(c)
-		}
-		var rows []int
-		sent, fwd := fusedSkylineScan(q.Table, se.sel, cols, sk, opts.Workers, &rows)
-		se.traffic.EntriesSent = sent
-		se.traffic.Forwarded = fwd
-		for _, e := range sk.Drain() {
-			se.traffic.Forwarded++
-			rows = append(rows, int(e[len(cols)]))
-		}
-		se.traffic.MasterProcessed = len(rows)
-		return rows, true
+		return rows, nil
 	}
-	return nil, false
+	sk, err := shardProgram[*prune.Skyline](se)
+	if err != nil {
+		return nil, err
+	}
+	cols := make([]int, len(q.SkylineCols))
+	for i, c := range q.SkylineCols {
+		cols[i] = q.Table.Schema().MustIndex(c)
+	}
+	var rows []int
+	sent, fwd := fusedSkylineScan(q.Table, se.sel, cols, sk, opts.Workers, se.flow, &rows)
+	se.traffic.EntriesSent = sent
+	se.traffic.Forwarded = fwd
+	// Control-plane drain of the stored points at FIN.
+	for _, e := range sk.Drain() {
+		se.traffic.Forwarded++
+		rows = append(rows, int(e[len(cols)]))
+	}
+	se.traffic.MasterProcessed = len(rows)
+	return rows, nil
 }
 
-// fusedDistinctPass runs one DISTINCT shard stream and returns the
-// shard's first-seen unique rows with their fingerprints (the global
-// combine's dedupe keys).
-func (se *shardExec) fusedDistinctPass(opts ShardedOptions, cols []int) (fps []uint64, rows []int, ok bool) {
-	if !se.fusable(opts) {
-		return nil, nil, false
-	}
-	d, isD := se.pruner.(*prune.Distinct)
-	if !isD {
-		return nil, nil, false
+// distinctPass runs one DISTINCT shard stream and returns the shard's
+// first-seen unique rows with their fingerprints (the global combine's
+// dedupe keys).
+func (se *shardExec) distinctPass(opts ShardedOptions, cols []int) (fps []uint64, rows []int, err error) {
+	d, err := shardProgram[*prune.Distinct](se)
+	if err != nil {
+		return nil, nil, err
 	}
 	seen := make(map[uint64]struct{}, 1024)
-	sent, fwd := fusedDistinctScan(se.q.Table, cols, opts.Seed, d.FusedMatrix(), opts.Workers, seen, &rows)
+	sent, fwd := fusedDistinctScan(se.q.Table, cols, opts.Seed, d.FusedMatrix(), opts.Workers, se.flow, seen, &rows)
 	d.AddStats(uint64(sent), uint64(sent-fwd))
 	se.traffic.EntriesSent = sent
 	se.traffic.Forwarded = fwd
@@ -105,14 +95,14 @@ func (se *shardExec) fusedDistinctPass(opts ShardedOptions, cols []int) (fps []u
 	for i, r := range rows {
 		fps[i] = fpr.fp(r)
 	}
-	return fps, rows, true
+	return fps, rows, nil
 }
 
-// fusedTopNPass runs one TOP N shard stream into the shard-local N-heap.
-func (se *shardExec) fusedTopNPass(opts ShardedOptions, col int) (int64Heap, bool) {
-	if !se.fusable(opts) {
-		return nil, false
-	}
+// topNPass runs one TOP N shard stream into the shard-local N-heap.
+// With Skip, the shard heap's h[0] is a valid (if looser) lower bound
+// for the shard's own top N, which is all the global merge consumes
+// from this shard.
+func (se *shardExec) topNPass(opts ShardedOptions, col int) (int64Heap, error) {
 	var rnd *prune.RandTopN
 	var det *prune.DetTopN
 	switch p := se.pruner.(type) {
@@ -121,78 +111,51 @@ func (se *shardExec) fusedTopNPass(opts ShardedOptions, col int) (int64Heap, boo
 	case *prune.DetTopN:
 		det = p
 	default:
-		return nil, false
+		return nil, fmt.Errorf("engine: sharded %v needs a *prune.RandTopN or *prune.DetTopN program, got %T", se.q.Kind, se.pruner)
 	}
 	q := se.q
-	ints := q.Table.Int64Col(col)
-	h := make(int64Heap, 0, q.N)
-	sent, fwd := 0, 0
-	scan := func(lo, hi int) {
-		var s, f int
-		if rnd != nil {
-			s, f = fusedTopNRandSpan(ints, lo, hi, rnd, &h, q.N)
-		} else {
-			s, f = fusedTopNDetSpan(ints, lo, hi, opts.Workers, det, &h, q.N)
-		}
-		sent += s
-		fwd += f
-	}
-	if opts.Skip && q.Table.SkipIndex() != nil {
-		topNSpanScan(q.Table, col, q.N, &h, &se.skipped, scan)
-	} else {
-		scan(0, q.Table.NumRows())
-	}
-	if rnd != nil {
-		rnd.AddStats(uint64(sent), uint64(sent-fwd))
-	} else {
-		det.AddStats(uint64(sent), uint64(sent-fwd))
-	}
+	h := make(int64Heap, 0, min(q.N, q.Table.NumRows()))
+	sent, fwd := fusedTopNScan(q.Table, col, q.N, opts.Workers, rnd, det, se.flow, opts.Skip, &h, &se.skipped)
 	se.traffic.EntriesSent = sent
 	se.traffic.Forwarded = fwd
 	se.traffic.MasterProcessed = len(h)
-	return h, true
+	return h, nil
 }
 
-// fusedGroupByMaxPass runs one GROUP BY MAX shard stream and returns the
+// groupByMaxPass runs one GROUP BY MAX shard stream and returns the
 // shard's fingerprint-keyed partial maxima (fps in first-seen order,
 // with one representative row per key).
-func (se *shardExec) fusedGroupByMaxPass(opts ShardedOptions, kc, vc int) (fps []uint64, maxs []int64, reps []int, ok bool) {
-	if !se.fusable(opts) {
-		return nil, nil, nil, false
-	}
-	g, isG := se.pruner.(*prune.GroupBy)
-	if !isG {
-		return nil, nil, nil, false
+func (se *shardExec) groupByMaxPass(opts ShardedOptions, kc, vc int) (fps []uint64, maxs []int64, reps []int, err error) {
+	g, err := shardProgram[*prune.GroupBy](se)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	keyIdx := make(map[uint64]int, 1024)
-	sent, fwd := fusedGroupByMaxScan(se.q.Table, kc, vc, opts.Seed, g, opts.Workers, keyIdx, &maxs, &reps)
+	sent, fwd := fusedGroupByMaxScan(se.q.Table, kc, vc, opts.Seed, g, opts.Workers, se.flow, keyIdx, &maxs, &reps)
 	g.AddStats(uint64(sent), uint64(sent-fwd))
 	se.traffic.EntriesSent = sent
 	se.traffic.Forwarded = fwd
 	se.traffic.MasterProcessed = len(maxs)
 	// keyIdx assigns dense first-seen indices; inverting it recovers the
-	// fingerprint list in exactly the batched partial's order.
+	// fingerprint list in first-seen order.
 	fps = make([]uint64, len(maxs))
 	for fp, i := range keyIdx {
 		fps[i] = fp
 	}
-	return fps, maxs, reps, true
+	return fps, maxs, reps, nil
 }
 
-// fusedGroupBySumPass runs one GROUP BY SUM shard stream (including the
+// groupBySumPass runs one GROUP BY SUM shard stream (including the
 // end-of-stream drain) and returns the shard's partial sums and key
 // dictionary.
-func (se *shardExec) fusedGroupBySumPass(opts ShardedOptions, kc, vc int) (sums map[uint64]int64, fpToKey map[uint64]string, ok bool) {
-	if !se.fusable(opts) {
-		return nil, nil, false
-	}
-	gs, isGS := se.pruner.(*prune.GroupBySum)
-	if !isGS {
-		return nil, nil, false
+func (se *shardExec) groupBySumPass(opts ShardedOptions, kc, vc int) (sums map[uint64]int64, fpToKey map[uint64]string, err error) {
+	gs, err := shardProgram[*prune.GroupBySum](se)
+	if err != nil {
+		return nil, nil, err
 	}
 	sums = make(map[uint64]int64, 1024)
 	fpToKey = make(map[uint64]string, 1024)
-	sent, fwd := fusedGroupBySumScan(se.q.Table, kc, vc, opts.Seed, gs, opts.Workers, fpToKey, sums)
+	sent, fwd := fusedGroupBySumScan(se.q.Table, kc, vc, opts.Seed, gs, opts.Workers, se.flow, fpToKey, sums)
 	se.traffic.EntriesSent = sent
 	se.traffic.Forwarded = fwd
 	for _, e := range gs.Drain() {
@@ -200,25 +163,22 @@ func (se *shardExec) fusedGroupBySumPass(opts ShardedOptions, kc, vc int) (sums 
 		sums[e[0]] += int64(e[1])
 	}
 	se.traffic.MasterProcessed = len(sums)
-	return sums, fpToKey, true
+	return sums, fpToKey, nil
 }
 
-// fusedHavingCandidates runs one HAVING first-pass shard stream through
-// the shard's (threshold-tightened) sketch and returns its candidate
+// havingCandidates runs one HAVING first-pass shard stream through the
+// shard's (threshold-tightened) sketch and returns its candidate
 // fingerprints. The exact second pass is pruner-free and shared with the
 // single-switch path (fusedHavingPass2).
-func (se *shardExec) fusedHavingCandidates(opts ShardedOptions, kc, vc int) (map[uint64]bool, bool) {
-	if !se.fusable(opts) {
-		return nil, false
-	}
-	h, isH := se.pruner.(*prune.Having)
-	if !isH {
-		return nil, false
+func (se *shardExec) havingCandidates(opts ShardedOptions, kc, vc int) (map[uint64]bool, error) {
+	h, err := shardProgram[*prune.Having](se)
+	if err != nil {
+		return nil, err
 	}
 	cand := make(map[uint64]bool, 1024)
-	sent, fwd := fusedHavingPass1(se.q.Table, kc, vc, opts.Seed, h, opts.Workers, cand)
+	sent, fwd := fusedHavingPass1(se.q.Table, kc, vc, opts.Seed, h, opts.Workers, se.flow, cand)
 	h.AddStats(uint64(sent), uint64(sent-fwd))
 	se.traffic.EntriesSent = sent
 	se.traffic.Forwarded = fwd
-	return cand, true
+	return cand, nil
 }

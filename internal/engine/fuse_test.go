@@ -1,62 +1,56 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"cheetah/internal/boolexpr"
 	"cheetah/internal/prune"
+	"cheetah/internal/switchsim"
 )
 
-// This file is the fused-vs-batched equivalence suite (the fused-vs-
-// scalar oracle composes transitively through batch_equiv_test.go's
-// batch-vs-scalar suite). The contract under test: the fused compiler
-// produces bit-identical Results for every kind, and bit-identical
-// Traffic and Stats for every kind except randomized TOP N, whose
-// counter-indexed RNG draws different (equally sound) prune decisions
-// than the scalar chain. The streaming-delta leg lives in
-// internal/stream's incremental suite, which drives ExecCheetah with
-// default options and therefore the fused path.
+// This file pins the compiled (fused) loops on the paths the suite in
+// equiv_test.go does not drive: through a flow on a shared pipeline,
+// sharded, with block skipping, and with caller-supplied programs. The
+// contract under test: bit-identical Results to ExecDirect for every
+// kind, and bit-identical Traffic and Stats to the scalar oracle for
+// every kind except randomized TOP N, whose counter-indexed RNG draws
+// different (equally sound) prune decisions than the scalar chain.
 
-// fusedTrafficExempt marks the kinds whose Traffic/Stats may diverge
-// between the fused and batched paths.
-func fusedTrafficExempt(name string) bool { return name == "topn" }
-
+// TestFusedMatchesBatchExec runs every kind through a flow on a real
+// shared pipeline — the serving layer's shape — and pins it to the
+// oracles across worker counts and seeds.
 func TestFusedMatchesBatchExec(t *testing.T) {
 	tb := equivTable(t, 4000, 0x5eed)
 	rt := equivTable(t, 1500, 0x0dd)
 	for name, q := range equivQueries(tb, rt) {
 		for _, workers := range []int{1, 3, 5} {
 			for _, seed := range []uint64{1, 0xfeed, 42} {
-				fused, err := ExecCheetah(q, CheetahOptions{Workers: workers, Seed: seed})
+				label := fmt.Sprintf("%s w=%d seed=%d", name, workers, seed)
+				scalar, err := ExecCheetah(q, CheetahOptions{Workers: workers, Seed: seed, Scalar: true})
 				if err != nil {
-					t.Fatalf("%s w=%d seed=%d fused: %v", name, workers, seed, err)
+					t.Fatalf("%s scalar: %v", label, err)
 				}
-				batch, err := ExecCheetah(q, CheetahOptions{Workers: workers, Seed: seed, NoFuse: true})
+				p, err := defaultProgram(q, seed)
 				if err != nil {
-					t.Fatalf("%s w=%d seed=%d batch: %v", name, workers, seed, err)
+					t.Fatal(err)
 				}
-				if fused.PrunerName != batch.PrunerName {
-					t.Fatalf("%s w=%d seed=%d: pruner name %q vs %q", name, workers, seed, fused.PrunerName, batch.PrunerName)
+				pl, err := switchsim.NewPipeline(switchsim.Tofino())
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !fusedTrafficExempt(name) {
-					if fused.Traffic != batch.Traffic {
-						t.Fatalf("%s w=%d seed=%d: traffic diverges\nbatch: %+v\nfused: %+v", name, workers, seed, batch.Traffic, fused.Traffic)
-					}
-					if fused.Stats != batch.Stats {
-						t.Fatalf("%s w=%d seed=%d: stats diverge\nbatch: %+v\nfused: %+v", name, workers, seed, batch.Stats, fused.Stats)
-					}
+				if err := pl.Install(3, p); err != nil {
+					t.Fatal(err)
 				}
-				if !fused.Result.Equal(batch.Result) {
-					t.Fatalf("%s w=%d seed=%d: results diverge\nbatch:\n%s\nfused:\n%s", name, workers, seed, batch.Result, fused.Result)
+				flow := pipeDP{pl: pl, flowID: 3}
+				run, err := ExecCheetah(q, CheetahOptions{Workers: workers, Seed: seed, Pruner: p, Flow: flow})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
-				for i := range batch.Result.Rows {
-					for j := range batch.Result.Rows[i] {
-						if batch.Result.Rows[i][j] != fused.Result.Rows[i][j] {
-							t.Fatalf("%s w=%d seed=%d: row %d cell %d: %q vs %q",
-								name, workers, seed, i, j, batch.Result.Rows[i][j], fused.Result.Rows[i][j])
-						}
-					}
+				if flow.Err() != nil {
+					t.Fatalf("%s: healthy flow reports %v", label, flow.Err())
 				}
+				assertMatchesOracles(t, label, q, run, scalar, scalarTrafficExempt(name))
 			}
 		}
 	}
@@ -80,53 +74,69 @@ func TestFusedMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestFusedSharded runs the scatter/gather fabric with and without the
-// fused per-shard kernels: identical Results everywhere, identical
-// per-switch Traffic except randomized TOP N.
+// TestFusedSharded runs the scatter/gather fabric on contiguous
+// shards: identical Results to ExecDirect everywhere, and for the
+// single-pass kinds each switch's stream equals a scalar run over its
+// shard (randomized TOP N exempt; HAVING's first pass compared on
+// forwards, since its exact second pass re-streams against the global
+// candidates).
 func TestFusedSharded(t *testing.T) {
 	tb := equivTable(t, 4000, 0x81)
 	rt := equivTable(t, 1500, 0x82)
 	for name, q := range equivQueries(tb, rt) {
 		for _, shards := range []int{2, 4} {
-			fused, err := ExecSharded(q, ShardedOptions{Shards: shards, Workers: 3, Seed: 0xfeed})
+			run, err := ExecSharded(q, ShardedOptions{Shards: shards, Workers: 3, Seed: 0xfeed})
 			if err != nil {
-				t.Fatalf("%s shards=%d fused: %v", name, shards, err)
-			}
-			batch, err := ExecSharded(q, ShardedOptions{Shards: shards, Workers: 3, Seed: 0xfeed, NoFuse: true})
-			if err != nil {
-				t.Fatalf("%s shards=%d batch: %v", name, shards, err)
-			}
-			if !fused.Result.Equal(batch.Result) {
-				t.Fatalf("%s shards=%d: results diverge\nbatch:\n%s\nfused:\n%s", name, shards, batch.Result, fused.Result)
-			}
-			if !fusedTrafficExempt(name) {
-				if fused.Traffic != batch.Traffic {
-					t.Fatalf("%s shards=%d: traffic diverges\nbatch: %+v\nfused: %+v", name, shards, batch.Traffic, fused.Traffic)
-				}
-				if fused.Stats != batch.Stats {
-					t.Fatalf("%s shards=%d: stats diverge\nbatch: %+v\nfused: %+v", name, shards, batch.Stats, fused.Stats)
-				}
-				for s := range fused.PerSwitch {
-					if fused.PerSwitch[s] != batch.PerSwitch[s] {
-						t.Fatalf("%s shards=%d: switch %d traffic diverges\nbatch: %+v\nfused: %+v",
-							name, shards, s, batch.PerSwitch[s], fused.PerSwitch[s])
-					}
-				}
+				t.Fatalf("%s shards=%d: %v", name, shards, err)
 			}
 			direct, err := ExecDirect(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !fused.Result.Equal(direct) {
-				t.Fatalf("%s shards=%d: fused sharded result wrong vs direct", name, shards)
+			if !run.Result.Equal(direct) {
+				t.Fatalf("%s shards=%d: sharded result wrong vs direct", name, shards)
+			}
+			if scalarTrafficExempt(name) || q.Kind == KindJoin {
+				// JOIN shards are hash selections, pinned against
+				// materialized shards in shard_select_test.go.
+				continue
+			}
+			views, err := q.Table.Partition(shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stats prune.Stats
+			for s, v := range views {
+				qs := *q
+				qs.Table = v
+				p, err := defaultShardPruner(q, shards, 0xfeed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := ExecCheetah(&qs, CheetahOptions{Workers: 3, Seed: 0xfeed, Scalar: true, Pruner: p})
+				if err != nil {
+					t.Fatalf("%s shard %d scalar: %v", name, s, err)
+				}
+				got := run.PerSwitch[s]
+				if got.Forwarded != ref.Traffic.Forwarded ||
+					(q.Kind != KindHaving && got.EntriesSent != ref.Traffic.EntriesSent) {
+					t.Fatalf("%s shards=%d: switch %d traffic %+v, scalar shard %+v", name, shards, s, got, ref.Traffic)
+				}
+				stats.Processed += ref.Stats.Processed
+				stats.Pruned += ref.Stats.Pruned
+			}
+			if run.Stats != stats {
+				t.Fatalf("%s shards=%d: stats %+v, scalar shards %+v", name, shards, run.Stats, stats)
 			}
 		}
 	}
 }
 
 // TestFusedSkip checks the fused loops compose with block skipping for
-// the kinds with a sound block bound: same Results with and without
-// Skip, and the fused skip stats match the batched path's.
+// the kinds with a sound block bound: the same Results with and without
+// Skip, equal to ExecDirect, and the fused skip stats match the direct
+// skipping scan's (TOP N's running threshold is looser on pruned
+// survivors than the direct scan's exact one, so it is exempt).
 func TestFusedSkip(t *testing.T) {
 	tb := equivTable(t, 4096, 0x91)
 	rt := equivTable(t, 1536, 0x92)
@@ -137,6 +147,7 @@ func TestFusedSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := equivQueries(tb, rt)
+	skipped := 0
 	for _, name := range []string{"filter", "filter-count", "topn", "join"} {
 		q := queries[name]
 		skip, err := ExecCheetah(q, CheetahOptions{Workers: 3, Seed: 7, Skip: true})
@@ -150,22 +161,26 @@ func TestFusedSkip(t *testing.T) {
 		if !skip.Result.Equal(plain.Result) {
 			t.Fatalf("%s: skip changes fused result\nplain:\n%s\nskip:\n%s", name, plain.Result, skip.Result)
 		}
-		batchSkip, err := ExecCheetah(q, CheetahOptions{Workers: 3, Seed: 7, Skip: true, NoFuse: true})
+		direct, directSkip, err := ExecDirectSkip(q)
 		if err != nil {
-			t.Fatalf("%s batch skip: %v", name, err)
+			t.Fatalf("%s direct skip: %v", name, err)
 		}
-		if !skip.Result.Equal(batchSkip.Result) {
-			t.Fatalf("%s: fused+skip result diverges from batch+skip", name)
+		if !skip.Result.Equal(direct) {
+			t.Fatalf("%s: fused+skip result diverges from ExecDirect", name)
 		}
-		if !fusedTrafficExempt(name) && skip.Skipped != batchSkip.Skipped {
-			t.Fatalf("%s: skip stats diverge: batch %+v fused %+v", name, batchSkip.Skipped, skip.Skipped)
+		skipped += skip.Skipped.RowsSkipped
+		if !scalarTrafficExempt(name) && skip.Skipped != directSkip {
+			t.Fatalf("%s: skip stats diverge: direct %+v fused %+v", name, directSkip, skip.Skipped)
 		}
+	}
+	if skipped == 0 {
+		t.Fatal("no query skipped a row; test is vacuous")
 	}
 }
 
 // TestFusedCustomPrunerFilter: a caller-supplied switch-resident filter
-// program fuses too (the gate accepts any directly driven concrete
-// pruner), and false positives still hit the master's exact re-check.
+// program fuses too (the compiler accepts any *prune.Filter), and false
+// positives still hit the master's exact re-check.
 func TestFusedCustomPrunerFilter(t *testing.T) {
 	tb := equivTable(t, 3000, 0x61)
 	q := &Query{
@@ -191,13 +206,11 @@ func TestFusedCustomPrunerFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := ExecCheetah(q, CheetahOptions{Workers: 3, Seed: 5, Pruner: mk(), NoFuse: true})
+	scalar, err := ExecCheetah(q, CheetahOptions{Workers: 3, Seed: 5, Pruner: mk(), Scalar: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fused.Traffic != batch.Traffic || fused.Stats != batch.Stats || !fused.Result.Equal(batch.Result) {
-		t.Fatalf("custom-pruner filter diverges\nbatch: %+v\nfused: %+v", batch.Traffic, fused.Traffic)
-	}
+	assertMatchesOracles(t, "custom-pruner filter", q, fused, scalar, false)
 }
 
 // TestFusedTopNDeterminism: the counter RNG is a pure function of (seed,

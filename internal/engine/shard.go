@@ -3,9 +3,9 @@ package engine
 // This file implements the multi-switch scatter/gather execution path:
 // the table is sharded across N switches (the paper's deployment shape,
 // where each rack's ToR switch prunes its own workers' streams), each
-// shard runs the batched pruning pipeline concurrently on its own
-// switch program, and the master performs a two-level merge — shard-
-// local partials first (fingerprint dedupe, TOP N heaps, aggregate
+// shard runs its compiled pruning pass (fuse_shard.go) concurrently on
+// its own switch program, and the master performs a two-level merge —
+// shard-local partials first (fingerprint dedupe, TOP N heaps, aggregate
 // maps), then a global combine — that reproduces ExecDirect's result
 // exactly for every query kind.
 //
@@ -43,7 +43,6 @@ import (
 
 	"cheetah/internal/obs"
 	"cheetah/internal/prune"
-	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
 )
 
@@ -91,29 +90,30 @@ type ShardedOptions struct {
 	// shards share it, so fingerprints agree at the global combine.
 	Seed uint64
 	// Pruners, when non-nil, supplies one program per shard (len must
-	// equal Shards) — the planner's per-switch sizing. Defaults follow
-	// the batched path's per-kind configurations, with HAVING's sketch
-	// threshold tightened to ⌊threshold/Shards⌋.
+	// equal Shards) — the planner's per-switch sizing. Each must be the
+	// shipped pruner type the kind's compiled pass drives. Defaults
+	// follow the single-switch per-kind configurations, with HAVING's
+	// sketch threshold tightened to ⌊threshold/Shards⌋.
 	Pruners []prune.Pruner
-	// Flows, when non-nil, routes shard i's batches through Flows[i] (a
-	// flow-scoped handle on shard i's shared pipeline) instead of
-	// invoking the shard's pruner directly. Requires Pruners: control-
-	// plane operations still address the programs directly.
-	Flows []BatchDataplane
+	// Flows, when non-nil, places shard i on Flows[i], its admitted
+	// flow on shard i's shared pipeline (see Flow); a nil entry runs that
+	// shard master-side. Requires Pruners: shard i drives Pruners[i],
+	// the program installed for Flows[i].
+	Flows []Flow
 	// Strategy selects the sharding scheme; see ShardAuto.
 	Strategy ShardStrategy
 	// Failover, when non-nil, is consulted after a shard's switch dies
-	// (its Flow implements HealthDataplane and reports failure): it
-	// returns a fresh program and dataplane for the shard — typically a
-	// new lease on a surviving switch — and the shard's whole stream is
-	// redone through them, which is what keeps results §7.2-exact (state
-	// a dead switch held in registers is unrecoverable, so the shard is
-	// replayed from scratch, never patched). attempt counts from 1.
+	// (its Flow's Err reports failure): it returns a fresh program and
+	// flow for the shard — typically a new lease on a surviving switch —
+	// and the shard's whole stream is redone through them, which is what
+	// keeps results §7.2-exact (state a dead switch held in registers is
+	// unrecoverable, so the shard is replayed from scratch, never
+	// patched). attempt counts from 1.
 	// Returning an error, or exhausting maxFailoverAttempts, degrades
 	// the shard to master-side execution of its own (reset) program —
 	// the servers-are-the-backstop guarantee: switch loss costs
 	// performance, never correctness.
-	Failover func(shard, attempt int) (prune.Pruner, BatchDataplane, error)
+	Failover func(shard, attempt int) (prune.Pruner, Flow, error)
 	// Backoff, when positive, is the base delay before the first
 	// failover attempt; each further attempt on the same shard doubles
 	// it (capped exponential backoff — the cap is maxFailoverAttempts
@@ -126,12 +126,6 @@ type ShardedOptions struct {
 	// without one and simply scan. Results stay bit-identical to
 	// ExecDirect.
 	Skip bool
-	// NoFuse opts shards out of the fused compiled loops (fuse.go) and
-	// back onto the chunked batch pipeline, mirroring
-	// CheetahOptions.NoFuse. Shards whose dataplane withholds direct
-	// program access (chaos-armed pipelines) fall back per shard
-	// automatically; Results are identical either way.
-	NoFuse bool
 	// Trace, when non-nil, collects one span per shard pass (plus a
 	// failover span per discarded attempt and a global merge span) into
 	// the query's lifecycle trace. Span recording is mutex-guarded, so
@@ -303,16 +297,12 @@ func scannedCols(q *Query) []string {
 	return slices.Compact(slices.Sorted(slices.Values(names)))
 }
 
-// defaultShardPruner builds shard s's program with the batched path's
+// defaultShardPruner builds shard s's program with the single-switch
 // default configuration, tightened per shard where the merge needs it.
 func defaultShardPruner(q *Query, shards int, seed uint64) (prune.Pruner, error) {
 	switch q.Kind {
-	case KindGroupBySum:
-		return prune.NewGroupBySum(prune.DefaultGroupBySumConfig(seed))
 	case KindHaving:
 		return prune.NewHaving(prune.DefaultHavingConfig(q.Threshold/int64(shards), seed))
-	case KindJoin:
-		return prune.NewJoin(prune.DefaultJoinConfig(seed))
 	case KindTopN:
 		// Each shard's randomized program gets δ/k: a global top-N value
 		// lives in exactly one shard, so the union bound over k
@@ -320,7 +310,7 @@ func defaultShardPruner(q *Query, shards int, seed uint64) (prune.Pruner, error)
 		// the single-switch default δ.
 		return prune.NewRandTopN(prune.LegacyRandTopNConfig(q.N, 1e-4/float64(shards), seed))
 	default:
-		return DefaultPruner(q, seed)
+		return defaultProgram(q, seed)
 	}
 }
 
@@ -346,7 +336,7 @@ type shardExec struct {
 	sel, rsel []int
 	base      int
 	pruner    prune.Pruner
-	dp        BatchDataplane
+	flow      Flow // nil: the program runs master-side or unplaced
 	traffic   Traffic
 	skipped   SkipStats
 	attempts  int  // failover replacements taken
@@ -357,16 +347,16 @@ type shardExec struct {
 // shard degrades to master-side execution.
 const maxFailoverAttempts = 3
 
-// healthErr reports the shard dataplane's failure, when it exposes
-// health at all (a master-side progDataplane never fails).
+// healthErr reports the failure of the shard's switch (a shard without
+// a flow never fails).
 func (se *shardExec) healthErr() error {
-	if h, ok := se.dp.(HealthDataplane); ok {
-		return h.Err()
+	if se.flow != nil {
+		return se.flow.Err()
 	}
 	return nil
 }
 
-// ensureHealthy gives the shard a live dataplane before an attempt:
+// ensureHealthy gives the shard a live switch before an attempt:
 // while the current one reports a dead switch, the Failover hook is
 // asked for a replacement (capped), and past the cap — or without a
 // hook — the shard degrades to running its own program master-side.
@@ -376,7 +366,7 @@ func (se *shardExec) ensureHealthy(opts ShardedOptions) {
 	for se.healthErr() != nil {
 		if opts.Failover == nil || se.attempts >= maxFailoverAttempts {
 			se.pruner.Reset()
-			se.dp = progDataplane{prog: se.pruner}
+			se.flow = nil
 			se.degraded = true
 			return
 		}
@@ -384,23 +374,23 @@ func (se *shardExec) ensureHealthy(opts ShardedOptions) {
 		if opts.Backoff > 0 {
 			time.Sleep(opts.Backoff << (se.attempts - 1))
 		}
-		p, dp, err := opts.Failover(se.idx, se.attempts)
-		if err != nil || p == nil || dp == nil {
+		p, flow, err := opts.Failover(se.idx, se.attempts)
+		if err != nil || p == nil || flow == nil {
 			se.pruner.Reset()
-			se.dp = progDataplane{prog: se.pruner}
+			se.flow = nil
 			se.degraded = true
 			return
 		}
-		se.pruner, se.dp = p, dp
+		se.pruner, se.flow = p, flow
 	}
 }
 
 // run executes one shard's whole stream (pass) with §7.2-exact
 // failover: a pass that crossed its switch's death is discarded — the
 // registers backing its pruning decisions are gone, so partial results
-// cannot be trusted — and redone through a replacement dataplane. pass
+// cannot be trusted — and redone through a replacement switch. pass
 // must (re)initialize all per-attempt state it accumulates, including
-// reading se.pruner/se.dp at call time; se.traffic is reset here. The
+// reading se.pruner/se.flow at call time; se.traffic is reset here. The
 // loop terminates: every retry either replaces the switch (capped) or
 // lands on the master-side backstop, which cannot fail.
 func (se *shardExec) run(opts ShardedOptions, pass func() error) error {
@@ -427,7 +417,7 @@ func (se *shardExec) run(opts ShardedOptions, pass func() error) error {
 }
 
 // forEachShard runs f concurrently for every shard and returns the first
-// error. Each shard's pruning is one switch's independent dataplane.
+// error. Each shard's pruning is one switch's independent pass.
 func forEachShard(n int, f func(s int) error) error {
 	if n == 1 {
 		return f(0)
@@ -469,9 +459,7 @@ func newShardExecs(q *Query, opts ShardedOptions) ([]*shardExec, error) {
 			return nil, err
 		}
 		if opts.Flows != nil {
-			se.dp = opts.Flows[s]
-		} else {
-			se.dp = progDataplane{prog: se.pruner}
+			se.flow = opts.Flows[s]
 		}
 		execs[s] = se
 	}
@@ -522,6 +510,9 @@ func execSharded(q *Query, opts ShardedOptions) (*ShardedRun, error) {
 		for i, p := range opts.Pruners {
 			if p == nil {
 				return nil, fmt.Errorf("engine: shard %d has a nil pruner (omit Pruners entirely for defaults)", i)
+			}
+			if err := checkFilterWire(q, p); err != nil {
+				return nil, fmt.Errorf("engine: shard %d: %w", i, err)
 			}
 		}
 	}
@@ -597,56 +588,6 @@ func execSharded(q *Query, opts ShardedOptions) (*ShardedRun, error) {
 	return run, nil
 }
 
-// shardSurvivors runs shard se's single-pass pruning stream on the
-// chunked batch pipeline and hands collect each chunk's forwarded row
-// ids (in q.Table's coordinates) — the fallback of fusedGatherPass.
-func (se *shardExec) shardSurvivors(opts ShardedOptions, collect func(fwd []uint64, chunkN int)) error {
-	q := se.q
-	buf := getStreamBuf()
-	defer putStreamBuf(buf)
-	var encFor func(*table.Table) partEncoder
-	var width int
-	needIDs := true
-	spans := fullSpans(q.Table)
-	switch q.Kind {
-	case KindFilter:
-		cols := make([]int, len(q.Predicates))
-		for i, p := range q.Predicates {
-			cols[i] = q.Table.Schema().MustIndex(p.Col)
-		}
-		width = len(cols)
-		if opts.Skip && se.sel == nil {
-			// Contiguous shards are views of the indexed root and skip
-			// against its (root-aligned) blocks; selections never skip.
-			spans, se.skipped = filterSpans(q, q.Table, cols)
-		}
-		encFor = func(t *table.Table) partEncoder { return encFilter(t, q.Predicates, cols) }
-	case KindSkyline:
-		cols := make([]int, len(q.SkylineCols))
-		for i, c := range q.SkylineCols {
-			cols[i] = q.Table.Schema().MustIndex(c)
-		}
-		width = len(cols) + 1
-		needIDs = false
-		encFor = func(t *table.Table) partEncoder { return encCols64(t, cols) }
-	default:
-		return fmt.Errorf("engine: shardSurvivors does not handle %v", q.Kind)
-	}
-	return spanPass(q.Table, se.sel, spans, opts.Workers, width, needIDs, buf, encFor, se.dp,
-		func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-			se.traffic.EntriesSent += b.N
-			src := ids
-			if q.Kind == KindSkyline {
-				// The entry id rides as the last header column through
-				// swaps.
-				src = b.Cols[width-1]
-			}
-			fwd := buf.compactForwarded(src, dec, b.N)
-			se.traffic.Forwarded += len(fwd)
-			collect(fwd, b.N)
-		})
-}
-
 // shardedGather serves FILTER and SKYLINE: per-shard survivor streams,
 // mapped to rows of the original table, then one exact master
 // completion over their union — no survivor is copied.
@@ -655,26 +596,9 @@ func shardedGather(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedR
 	err := forEachShard(len(execs), func(s int) error {
 		se := execs[s]
 		return se.run(opts, func() error {
-			rows, ok := se.fusedGatherPass(opts)
-			if !ok {
-				sv := survivorSet{remaining: se.numRows()}
-				if err := se.shardSurvivors(opts, sv.add); err != nil {
-					return err
-				}
-				if q.Kind == KindSkyline {
-					// Control-plane drain of the stored points at FIN.
-					dr, ok := se.pruner.(prune.Drainer)
-					if !ok {
-						return fmt.Errorf("engine: skyline needs a draining pruner, got %T", se.pruner)
-					}
-					width := len(q.SkylineCols)
-					for _, e := range dr.Drain() {
-						se.traffic.Forwarded++
-						sv.rows = append(sv.rows, int(e[width]))
-					}
-				}
-				se.traffic.MasterProcessed = len(sv.rows)
-				rows = sv.rows
+			rows, err := se.gatherPass(opts)
+			if err != nil {
+				return err
 			}
 			// A contiguous view's rows are offset into the parent.
 			if se.base != 0 {
@@ -722,31 +646,9 @@ func shardedDistinct(q *Query, execs []*shardExec, opts ShardedOptions) (*Sharde
 			cols[i] = qs.Table.Schema().MustIndex(c)
 		}
 		return se.run(opts, func() error {
-			if fps, rows, ok := se.fusedDistinctPass(opts, cols); ok {
-				partials[s] = uniq{fps: fps, rows: rows}
-				return nil
-			}
-			buf := getStreamBuf()
-			defer putStreamBuf(buf)
-			seen := make(map[uint64]struct{}, 1024)
-			u := &partials[s]
-			*u = uniq{}
-			batchPass(qs.Table.NumRows(), opts.Workers, 1, true, buf, encFingerprint(qs.Table, cols, opts.Seed), se.dp, nil,
-				func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-					se.traffic.EntriesSent += b.N
-					fps := b.Cols[0]
-					idx := buf.compactIndices(dec, b.N)
-					se.traffic.Forwarded += len(idx)
-					for _, j := range idx {
-						if _, ok := seen[fps[j]]; !ok {
-							seen[fps[j]] = struct{}{}
-							u.fps = append(u.fps, fps[j])
-							u.rows = append(u.rows, int(ids[j]))
-						}
-					}
-				})
-			se.traffic.MasterProcessed = se.traffic.Forwarded
-			return nil
+			fps, rows, err := se.distinctPass(opts, cols)
+			partials[s] = uniq{fps: fps, rows: rows}
+			return err
 		})
 	})
 	if err != nil {
@@ -787,56 +689,22 @@ func shardedTopN(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun
 	heaps := make([]int64Heap, len(execs))
 	err := forEachShard(len(execs), func(s int) error {
 		se := execs[s]
-		qs := se.q
-		col := qs.Table.Schema().MustIndex(qs.OrderCol)
+		col := se.q.Table.Schema().MustIndex(se.q.OrderCol)
 		return se.run(opts, func() error {
-			if h, ok := se.fusedTopNPass(opts, col); ok {
-				heaps[s] = h
-				return nil
-			}
-			buf := getStreamBuf()
-			defer putStreamBuf(buf)
-			h := make(int64Heap, 0, qs.N)
-			sink := func(b *switchsim.Batch, dec []switchsim.Decision, _ []uint64) {
-				se.traffic.EntriesSent += b.N
-				fwd := buf.compactForwarded(b.Cols[0], dec, b.N)
-				se.traffic.Forwarded += len(fwd)
-				for _, raw := range fwd {
-					v := int64(raw)
-					if len(h) < qs.N {
-						h.push(v)
-					} else if v > h[0] {
-						h[0] = v
-						h.fixRoot()
-					}
-				}
-			}
-			if opts.Skip && qs.Table.SkipIndex() != nil {
-				// Shard-local threshold bound: the shard heap's h[0] is a
-				// valid (if looser) lower bound for its own top N, which
-				// is all the global merge consumes from this shard.
-				topNSpanScan(qs.Table, col, qs.N, &h, &se.skipped, func(lo, hi int) {
-					v, err := qs.Table.View(lo, hi)
-					if err != nil {
-						return
-					}
-					batchPass(v.NumRows(), opts.Workers, 1, false, buf, encInt64(v, col), se.dp, nil, sink)
-				})
-			} else {
-				batchPass(qs.Table.NumRows(), opts.Workers, 1, false, buf, encInt64(qs.Table, col), se.dp, nil, sink)
-			}
-			se.traffic.MasterProcessed = len(h)
+			h, err := se.topNPass(opts, col)
 			heaps[s] = h
-			return nil
+			return err
 		})
 	})
 	if err != nil {
 		return nil, err
 	}
-	g := make(int64Heap, 0, q.N)
 	forwarded := 0
 	for _, h := range heaps {
 		forwarded += len(h)
+	}
+	g := make(int64Heap, 0, min(q.N, forwarded))
+	for _, h := range heaps {
 		for _, v := range h {
 			if len(g) < q.N {
 				g.push(v)
@@ -870,37 +738,9 @@ func shardedGroupByMax(q *Query, execs []*shardExec, opts ShardedOptions) (*Shar
 		kc := qs.Table.Schema().MustIndex(qs.KeyCol)
 		vc := qs.Table.Schema().MustIndex(qs.AggCol)
 		return se.run(opts, func() error {
-			if fps, maxs, reps, ok := se.fusedGroupByMaxPass(opts, kc, vc); ok {
-				partials[s] = partial{fps: fps, maxs: maxs, reps: reps}
-				return nil
-			}
-			buf := getStreamBuf()
-			defer putStreamBuf(buf)
-			keyIdx := make(map[uint64]int, 1024)
-			p := &partials[s]
-			*p = partial{}
-			batchPass(qs.Table.NumRows(), opts.Workers, 2, true, buf, encKeyVal(qs.Table, kc, vc, opts.Seed), se.dp, nil,
-				func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-					se.traffic.EntriesSent += b.N
-					fps, vals := b.Cols[0], b.Cols[1]
-					idx := buf.compactIndices(dec, b.N)
-					se.traffic.Forwarded += len(idx)
-					for _, j := range idx {
-						v := int64(vals[j])
-						if i, ok := keyIdx[fps[j]]; ok {
-							if v > p.maxs[i] {
-								p.maxs[i] = v
-							}
-						} else {
-							keyIdx[fps[j]] = len(p.maxs)
-							p.fps = append(p.fps, fps[j])
-							p.maxs = append(p.maxs, v)
-							p.reps = append(p.reps, int(ids[j]))
-						}
-					}
-				})
-			se.traffic.MasterProcessed = len(p.maxs)
-			return nil
+			fps, maxs, reps, err := se.groupByMaxPass(opts, kc, vc)
+			partials[s] = partial{fps: fps, maxs: maxs, reps: reps}
+			return err
 		})
 	})
 	if err != nil {
@@ -955,45 +795,9 @@ func shardedGroupBySum(q *Query, execs []*shardExec, opts ShardedOptions) (*Shar
 		kc := qs.Table.Schema().MustIndex(qs.KeyCol)
 		vc := qs.Table.Schema().MustIndex(qs.AggCol)
 		return se.run(opts, func() error {
-			if sums, fpToKey, ok := se.fusedGroupBySumPass(opts, kc, vc); ok {
-				partials[s] = partial{sums: sums, fpToKey: fpToKey}
-				return nil
-			}
-			gs, ok := se.pruner.(*prune.GroupBySum)
-			if !ok {
-				return fmt.Errorf("engine: group-by-sum needs a *prune.GroupBySum, got %T", se.pruner)
-			}
-			buf := getStreamBuf()
-			defer putStreamBuf(buf)
-			p := &partials[s]
-			p.sums = make(map[uint64]int64, 1024)
-			p.fpToKey = make(map[uint64]string, 1024)
-			batchPass(qs.Table.NumRows(), opts.Workers, 2, true, buf, encKeyVal(qs.Table, kc, vc, opts.Seed), se.dp,
-				func(b *switchsim.Batch, ids []uint64) {
-					// Key dictionary before the program rewrites forwarded
-					// slots with evicted aggregates.
-					fps := b.Cols[0]
-					for j := 0; j < b.N; j++ {
-						if _, ok := p.fpToKey[fps[j]]; !ok {
-							p.fpToKey[fps[j]] = cellString(qs.Table, kc, int(ids[j]))
-						}
-					}
-				},
-				func(b *switchsim.Batch, dec []switchsim.Decision, _ []uint64) {
-					se.traffic.EntriesSent += b.N
-					fps, vals := b.Cols[0], b.Cols[1]
-					idx := buf.compactIndices(dec, b.N)
-					se.traffic.Forwarded += len(idx)
-					for _, j := range idx {
-						p.sums[fps[j]] += int64(vals[j])
-					}
-				})
-			for _, e := range gs.Drain() {
-				se.traffic.Forwarded++
-				p.sums[e[0]] += int64(e[1])
-			}
-			se.traffic.MasterProcessed = len(p.sums)
-			return nil
+			sums, fpToKey, err := se.groupBySumPass(opts, kc, vc)
+			partials[s] = partial{sums: sums, fpToKey: fpToKey}
+			return err
 		})
 	})
 	if err != nil {
@@ -1031,28 +835,9 @@ func shardedHaving(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedR
 		kc := qs.Table.Schema().MustIndex(qs.KeyCol)
 		vc := qs.Table.Schema().MustIndex(qs.AggCol)
 		return se.run(opts, func() error {
-			if _, ok := se.pruner.(*prune.Having); !ok {
-				return fmt.Errorf("engine: having needs a *prune.Having, got %T", se.pruner)
-			}
-			if cand, ok := se.fusedHavingCandidates(opts, kc, vc); ok {
-				candidateSets[s] = cand
-				return nil
-			}
-			buf := getStreamBuf()
-			defer putStreamBuf(buf)
-			cand := make(map[uint64]bool, 1024)
-			batchPass(qs.Table.NumRows(), opts.Workers, 2, false, buf, encKeyVal(qs.Table, kc, vc, opts.Seed), se.dp, nil,
-				func(b *switchsim.Batch, dec []switchsim.Decision, _ []uint64) {
-					se.traffic.EntriesSent += b.N
-					fps := b.Cols[0]
-					idx := buf.compactIndices(dec, b.N)
-					se.traffic.Forwarded += len(idx)
-					for _, j := range idx {
-						cand[fps[j]] = true
-					}
-				})
+			cand, err := se.havingCandidates(opts, kc, vc)
 			candidateSets[s] = cand
-			return nil
+			return err
 		})
 	})
 	if err != nil {
@@ -1073,33 +858,12 @@ func shardedHaving(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedR
 		qs := se.q
 		kc := qs.Table.Schema().MustIndex(qs.KeyCol)
 		vc := qs.Table.Schema().MustIndex(qs.AggCol)
-		if !opts.NoFuse {
-			// The exact pass is pruner-free (dp is nil below), so the fused
-			// loop applies regardless of the shard's dataplane.
-			fpr := newRowFP(qs.Table, []int{kc}, opts.Seed)
-			sums := make(map[string]int64, len(candidates))
-			resent := fusedHavingPass2(qs.Table, kc, qs.Table.Int64Col(vc), &fpr, candidates, sums)
-			se.traffic.EntriesSent += resent
-			se.traffic.SecondPassSent += resent
-			se.traffic.MasterProcessed = se.traffic.SecondPassSent
-			sumsPer[s] = sums
-			return nil
-		}
-		buf := getStreamBuf()
-		defer putStreamBuf(buf)
+		// The exact pass is pruner-free, so no switch takes part.
+		fpr := newRowFP(qs.Table, []int{kc}, opts.Seed)
 		sums := make(map[string]int64, len(candidates))
-		batchPass(qs.Table.NumRows(), opts.Workers, 2, true, buf, encKeyVal(qs.Table, kc, vc, opts.Seed), nil, nil,
-			func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-				fps, vals := b.Cols[0], b.Cols[1]
-				for j := 0; j < b.N; j++ {
-					if !candidates[fps[j]] {
-						continue
-					}
-					se.traffic.EntriesSent++
-					se.traffic.SecondPassSent++
-					sums[cellString(qs.Table, kc, int(ids[j]))] += int64(vals[j])
-				}
-			})
+		resent := fusedHavingPass2(qs.Table, kc, qs.Table.Int64Col(vc), &fpr, candidates, sums)
+		se.traffic.EntriesSent += resent
+		se.traffic.SecondPassSent += resent
 		se.traffic.MasterProcessed = se.traffic.SecondPassSent
 		sumsPer[s] = sums
 		return nil
@@ -1140,9 +904,12 @@ func shardedJoin(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun
 		// dies anywhere inside it invalidates the filter, never just one
 		// pass.
 		return se.run(opts, func() error {
-			j, ok := se.pruner.(*prune.Join)
-			if !ok {
-				return fmt.Errorf("engine: join needs a *prune.Join, got %T", se.pruner)
+			j, err := shardProgram[*prune.Join](se)
+			if err != nil {
+				return err
+			}
+			if j.Phase() != prune.PhaseBuild {
+				return fmt.Errorf("engine: sharded join needs programs in their build phase")
 			}
 			l, r := newJoinInput(se.q.Table, lc, se.sel), newJoinInput(se.q.Right, rc, se.rsel)
 			if opts.Skip && se.rsel == nil {
@@ -1151,16 +918,7 @@ func shardedJoin(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun
 				r.spans, se.skipped = joinRightSpans(se.q.Table, lc, se.q.Right, rc)
 			}
 			var left, right []int
-			if se.fusable(opts) && j.Phase() == prune.PhaseBuild {
-				left, right, se.traffic = fusedJoinCore(j, opts.Seed, l, r)
-			} else {
-				buf := getStreamBuf()
-				defer putStreamBuf(buf)
-				var err error
-				if left, right, err = batchJoinCore(j, se.dp, buf, opts.Workers, opts.Seed, l, r, &se.traffic); err != nil {
-					return err
-				}
-			}
+			left, right, se.traffic = fusedJoinCore(j, opts.Seed, se.flow, l, r)
 			se.traffic.MasterProcessed = len(left) + len(right)
 			pairs[s] = joinPairs(se.q, left, right)
 			return nil

@@ -147,7 +147,7 @@ func TestShardedOptionValidation(t *testing.T) {
 	if _, err := ExecSharded(q, ShardedOptions{Shards: 4, Pruners: make([]prune.Pruner, 2)}); err == nil {
 		t.Fatal("pruner/shard count mismatch: want error")
 	}
-	if _, err := ExecSharded(q, ShardedOptions{Shards: 2, Flows: make([]BatchDataplane, 2)}); err == nil {
+	if _, err := ExecSharded(q, ShardedOptions{Shards: 2, Flows: make([]Flow, 2)}); err == nil {
 		t.Fatal("flows without pruners: want error")
 	}
 	if _, err := ExecSharded(queries["join"], ShardedOptions{Shards: 2, Strategy: ShardContiguous}); err == nil {

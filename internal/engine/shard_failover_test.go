@@ -12,16 +12,14 @@ import (
 
 var errSwitchDead = errors.New("test: switch dead")
 
-// pipeDP adapts one real pipeline flow to HealthDataplane, the shape
-// serve.Lease has in production.
+// pipeDP adapts one real pipeline flow to Flow, the shape serve.Lease
+// has in production.
 type pipeDP struct {
 	pl     *switchsim.Pipeline
 	flowID uint32
 }
 
-func (d pipeDP) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
-	d.pl.ProcessBatch(d.flowID, b, decisions)
-}
+func (d pipeDP) Chunk() { d.pl.Chunk(d.flowID) }
 
 func (d pipeDP) Err() error {
 	if d.pl.Failed() {
@@ -39,7 +37,7 @@ type failoverHarness struct {
 	shards   int
 	seed     uint64
 	pruners  []prune.Pruner
-	flows    []BatchDataplane
+	flows    []Flow
 	mu       sync.Mutex
 	replaced int
 }
@@ -57,7 +55,7 @@ func newFailoverHarness(t *testing.T, q *Query, shards int, seed uint64, victim 
 
 // place builds one fresh program on one fresh pipeline (optionally
 // armed with an injector) and returns both.
-func (h *failoverHarness) place(inj switchsim.FaultInjector) (prune.Pruner, BatchDataplane) {
+func (h *failoverHarness) place(inj switchsim.FaultInjector) (prune.Pruner, Flow) {
 	h.t.Helper()
 	p, err := defaultShardPruner(h.q, h.shards, h.seed)
 	if err != nil {
@@ -76,7 +74,7 @@ func (h *failoverHarness) place(inj switchsim.FaultInjector) (prune.Pruner, Batc
 	return p, pipeDP{pl: pl, flowID: 1}
 }
 
-func (h *failoverHarness) failover(shard, attempt int) (prune.Pruner, BatchDataplane, error) {
+func (h *failoverHarness) failover(shard, attempt int) (prune.Pruner, Flow, error) {
 	h.mu.Lock()
 	h.replaced++
 	h.mu.Unlock()
@@ -88,7 +86,7 @@ func (h *failoverHarness) failover(shard, attempt int) (prune.Pruner, BatchDatap
 // for every query kind: the failover path must redo the shard on a
 // replacement switch and still reproduce ExecDirect bit-identically.
 func TestShardedFailoverMatchesDirect(t *testing.T) {
-	// Force multi-chunk shard streams so "between two batches" exists
+	// Force multi-chunk shard streams so "between two chunks" exists
 	// for every kind at this table size.
 	defer func(n int) { chunkEntries = n }(chunkEntries)
 	chunkEntries = 256
@@ -100,10 +98,9 @@ func TestShardedFailoverMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s direct: %v", name, err)
 		}
-		// Shard 1's switch dies between its 1st and 2nd batch (streams
-		// are one chunk per worker here, so later ordinals never fire).
+		// Shard 1's switch dies between its 1st and 2nd chunk.
 		h := newFailoverHarness(t, q, shards, 0xfeed, map[int]switchsim.FaultInjector{
-			1: func(flow uint32, batch int) bool { return batch >= 1 },
+			1: func(flow uint32, chunk int) bool { return chunk >= 1 },
 		})
 		run, err := ExecSharded(q, ShardedOptions{
 			Shards: shards, Workers: 2, Seed: 0xfeed,
@@ -132,7 +129,7 @@ func TestShardedDegradesWithoutFailover(t *testing.T) {
 	tb := equivTable(t, 2000, 0x111)
 	rt := equivTable(t, 600, 0x222)
 	const shards = 2
-	dieNow := func(flow uint32, batch int) bool { return true }
+	dieNow := func(flow uint32, chunk int) bool { return true }
 	for name, q := range equivQueries(tb, rt) {
 		direct, err := ExecDirect(q)
 		if err != nil {
@@ -165,14 +162,14 @@ func TestShardedFailoverExhaustionDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dieNow := func(flow uint32, batch int) bool { return true }
+	dieNow := func(flow uint32, chunk int) bool { return true }
 	h := newFailoverHarness(t, q, 2, 5, map[int]switchsim.FaultInjector{0: dieNow, 1: dieNow})
 	attempts := 0
 	var mu sync.Mutex
 	run, err := ExecSharded(q, ShardedOptions{
 		Shards: 2, Workers: 1, Seed: 5,
 		Pruners: h.pruners, Flows: h.flows,
-		Failover: func(shard, attempt int) (prune.Pruner, BatchDataplane, error) {
+		Failover: func(shard, attempt int) (prune.Pruner, Flow, error) {
 			mu.Lock()
 			attempts++
 			mu.Unlock()

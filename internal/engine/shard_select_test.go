@@ -45,47 +45,44 @@ func TestSelectionShardsMatchMaterialized(t *testing.T) {
 	const seed, workers = 11, 3
 
 	type shardCase struct {
-		name   string
-		q      *Query
-		k      int
-		strat  ShardStrategy
-		col    string // shard column of q.Table (and of q.Right for JOIN)
-		newP   func() (prune.Pruner, error)
-		noFuse bool
+		name  string
+		q     *Query
+		k     int
+		strat ShardStrategy
+		col   string // shard column of q.Table (and of q.Right for JOIN)
+		newP  func() (prune.Pruner, error)
 	}
 	var cases []shardCase
-	for _, noFuse := range []bool{false, true} {
-		for _, k := range []int{2, 3} {
-			for _, asym := range []bool{false, true} {
-				asym := asym
-				cases = append(cases, shardCase{
-					name: fmt.Sprintf("join/k=%d/asym=%v", k, asym), q: queries["join"], k: k,
-					strat: ShardHash, col: "name", noFuse: noFuse,
-					newP: func() (prune.Pruner, error) {
-						return prune.NewJoin(prune.JoinConfig{FilterBits: 1 << 14, Hashes: 3, Asymmetric: asym, Seed: seed})
-					},
-				})
-			}
+	for _, k := range []int{2, 3} {
+		for _, asym := range []bool{false, true} {
+			asym := asym
+			cases = append(cases, shardCase{
+				name: fmt.Sprintf("join/k=%d/asym=%v", k, asym), q: queries["join"], k: k,
+				strat: ShardHash, col: "name",
+				newP: func() (prune.Pruner, error) {
+					return prune.NewJoin(prune.JoinConfig{FilterBits: 1 << 14, Hashes: 3, Asymmetric: asym, Seed: seed})
+				},
+			})
 		}
-		for _, name := range []string{"filter", "filter-count", "skyline"} {
-			q := queries[name]
-			for _, strat := range []ShardStrategy{ShardHash, ShardRange} {
-				col, err := shardKeyCol(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if strat == ShardRange && tb.ColumnType(tb.Schema().MustIndex(col)) != table.Int64 {
-					continue
-				}
-				cases = append(cases, shardCase{
-					name: fmt.Sprintf("%s/%v", name, strat), q: q, k: 3, strat: strat, col: col, noFuse: noFuse,
-					newP: func() (prune.Pruner, error) { return DefaultPruner(q, seed) },
-				})
+	}
+	for _, name := range []string{"filter", "filter-count", "skyline"} {
+		q := queries[name]
+		for _, strat := range []ShardStrategy{ShardHash, ShardRange} {
+			col, err := shardKeyCol(q)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if strat == ShardRange && tb.ColumnType(tb.Schema().MustIndex(col)) != table.Int64 {
+				continue
+			}
+			cases = append(cases, shardCase{
+				name: fmt.Sprintf("%s/%v", name, strat), q: q, k: 3, strat: strat, col: col,
+				newP: func() (prune.Pruner, error) { return DefaultPruner(q, seed) },
+			})
 		}
 	}
 	for _, c := range cases {
-		name := fmt.Sprintf("%s/nofuse=%v", c.name, c.noFuse)
+		name := c.name
 		pruners := make([]prune.Pruner, c.k)
 		for s := range pruners {
 			var err error
@@ -94,7 +91,7 @@ func TestSelectionShardsMatchMaterialized(t *testing.T) {
 			}
 		}
 		run, err := ExecSharded(c.q, ShardedOptions{Shards: c.k, Workers: workers, Seed: seed,
-			Pruners: pruners, Strategy: c.strat, Skip: true, NoFuse: c.noFuse})
+			Pruners: pruners, Strategy: c.strat, Skip: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -124,7 +121,7 @@ func TestSelectionShardsMatchMaterialized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := ExecCheetah(&qs, CheetahOptions{Workers: workers, Seed: seed, Pruner: p, NoFuse: c.noFuse})
+			ref, err := ExecCheetah(&qs, CheetahOptions{Workers: workers, Seed: seed, Pruner: p, Scalar: true})
 			if err != nil {
 				t.Fatalf("%s shard %d reference: %v", name, s, err)
 			}
@@ -169,24 +166,21 @@ func TestShardedSkylineDisplacedPoint(t *testing.T) {
 		}
 		return p
 	}
-	for _, path := range []CheetahOptions{{Scalar: true}, {NoFuse: true}, {}} {
-		path.Pruner = newP()
-		run, err := ExecCheetah(q, path)
+	for _, scalar := range []bool{false, true} {
+		run, err := ExecCheetah(q, CheetahOptions{Scalar: scalar, Pruner: newP()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !run.Result.Equal(direct) {
-			t.Fatalf("scalar=%v nofuse=%v: got\n%s\nwant\n%s", path.Scalar, path.NoFuse, run.Result, direct)
+			t.Fatalf("scalar=%v: got\n%s\nwant\n%s", scalar, run.Result, direct)
 		}
 	}
-	for _, noFuse := range []bool{false, true} {
-		run, err := ExecSharded(q, ShardedOptions{Shards: 1, Pruners: []prune.Pruner{newP()}, NoFuse: noFuse})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !run.Result.Equal(direct) {
-			t.Fatalf("sharded nofuse=%v: got\n%s\nwant\n%s", noFuse, run.Result, direct)
-		}
+	run, err := ExecSharded(q, ShardedOptions{Shards: 1, Pruners: []prune.Pruner{newP()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !run.Result.Equal(direct) {
+		t.Fatalf("sharded: got\n%s\nwant\n%s", run.Result, direct)
 	}
 }
 
@@ -242,37 +236,35 @@ func TestShardedAllocationBound(t *testing.T) {
 		{"filter", filter, ShardAuto},
 		{"filter-hash", filter, ShardHash},
 	} {
-		for _, noFuse := range []bool{false, true} {
-			var runErr error
-			got := allocatedBytes(t, 3, func() {
-				// Small per-switch programs keep the Bloom filters out of
-				// the measurement.
-				var pruners []prune.Pruner
-				if c.q.Kind == KindJoin {
-					for s := 0; s < 2; s++ {
-						p, err := prune.NewJoin(prune.JoinConfig{FilterBits: 1 << 10, Hashes: 3, Seed: 3})
-						if err != nil {
-							runErr = err
-						}
-						pruners = append(pruners, p)
+		var runErr error
+		got := allocatedBytes(t, 3, func() {
+			// Small per-switch programs keep the Bloom filters out of
+			// the measurement.
+			var pruners []prune.Pruner
+			if c.q.Kind == KindJoin {
+				for s := 0; s < 2; s++ {
+					p, err := prune.NewJoin(prune.JoinConfig{FilterBits: 1 << 10, Hashes: 3, Seed: 3})
+					if err != nil {
+						runErr = err
 					}
+					pruners = append(pruners, p)
 				}
-				_, err := ExecSharded(c.q, ShardedOptions{Shards: 2, Workers: 2, Seed: 3,
-					Pruners: pruners, Strategy: c.strat, NoFuse: noFuse})
-				if err != nil {
-					runErr = err
-				}
-			})
-			if runErr != nil {
-				t.Fatalf("%s: %v", c.name, runErr)
 			}
-			// Materialized shards would add a whole copy, a gathered
-			// survivor table half of one.
-			if limit := 0.6 * float64(copyBytes); got > limit {
-				t.Fatalf("%s nofuse=%v: allocated %.0f bytes per query, limit %.0f (one table copy is %d)",
-					c.name, noFuse, got, limit, copyBytes)
+			_, err := ExecSharded(c.q, ShardedOptions{Shards: 2, Workers: 2, Seed: 3,
+				Pruners: pruners, Strategy: c.strat})
+			if err != nil {
+				runErr = err
 			}
-			t.Logf("%s nofuse=%v: %.0f bytes per query (%.2f of a table copy)", c.name, noFuse, got, got/float64(copyBytes))
+		})
+		if runErr != nil {
+			t.Fatalf("%s: %v", c.name, runErr)
 		}
+		// Materialized shards would add a whole copy, a gathered
+		// survivor table half of one.
+		if limit := 0.6 * float64(copyBytes); got > limit {
+			t.Fatalf("%s: allocated %.0f bytes per query, limit %.0f (one table copy is %d)",
+				c.name, got, limit, copyBytes)
+		}
+		t.Logf("%s: %.0f bytes per query (%.2f of a table copy)", c.name, got, got/float64(copyBytes))
 	}
 }

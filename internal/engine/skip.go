@@ -103,7 +103,7 @@ func forEachBlockSpan(t *table.Table, fn func(lo, hi int, meta *table.BlockMeta)
 }
 
 // appendSpan appends [lo, hi), merging with the previous span when
-// adjacent so an unskippable run streams as one batchPass.
+// adjacent so an unskippable run streams as one scan.
 func appendSpan(spans []span, lo, hi int) []span {
 	if k := len(spans); k > 0 && spans[k-1].hi == lo {
 		spans[k-1].hi = hi
@@ -259,74 +259,6 @@ func joinRightSpans(left *table.Table, lc int, right *table.Table, rc int) ([]sp
 		spans = appendSpan(spans, lo, hi)
 	})
 	return spans, st
-}
-
-// offsetIDs wraps a segment view's encoder so the row ids it emits are
-// in the parent table's coordinates (the master's late materialization
-// and completeOnRows index the original q.Table).
-func offsetIDs(enc partEncoder, base uint64) partEncoder {
-	if base == 0 {
-		return enc
-	}
-	return func(dst [][]uint64, ids []uint64, lo, hi, pos0, stride int) {
-		enc(dst, ids, lo, hi, pos0, stride)
-		if ids == nil {
-			return
-		}
-		p := pos0
-		for r := lo; r < hi; r++ {
-			ids[p] += base
-			p += stride
-		}
-	}
-}
-
-// selectRows adapts enc, an encoder of t's rows, to a row selection of
-// t: ordinals [lo, hi) encode rows sel[lo:hi]. The selection is split
-// into maximal runs of consecutive rows, each encoded by one call, so
-// enc's column sweeps stay contiguous; row ids come out in t's
-// coordinates.
-func selectRows(enc partEncoder, sel []int) partEncoder {
-	return func(dst [][]uint64, ids []uint64, lo, hi, pos0, stride int) {
-		for i := lo; i < hi; {
-			j := i + 1
-			for j < hi && sel[j] == sel[j-1]+1 {
-				j++
-			}
-			enc(dst, ids, sel[i], sel[i]+j-i, pos0+(i-lo)*stride, stride)
-			i = j
-		}
-	}
-}
-
-// spanPass streams each span of t through batchPass as its own segment
-// (zero-copy views, ids rebased to t's coordinates). The single
-// full-table span — the no-skipping case — takes the exact legacy path,
-// byte for byte. A non-nil sel streams that row selection of t instead
-// (a hash or range shard): selections carry no skip index, so spans is
-// ignored and every selected row is sent.
-func spanPass(t *table.Table, sel []int, spans []span, workers, width int, needIDs bool, buf *streamBuf,
-	encFor func(*table.Table) partEncoder, dp BatchDataplane, sink batchSink) error {
-	if sel != nil {
-		batchPass(len(sel), workers, width, needIDs, buf, selectRows(encFor(t), sel), dp, nil, sink)
-		return nil
-	}
-	if len(spans) == 1 && spans[0].lo == 0 && spans[0].hi == t.NumRows() {
-		batchPass(t.NumRows(), workers, width, needIDs, buf, encFor(t), dp, nil, sink)
-		return nil
-	}
-	for _, sp := range spans {
-		v, err := t.View(sp.lo, sp.hi)
-		if err != nil {
-			return err
-		}
-		enc := encFor(v)
-		if needIDs {
-			enc = offsetIDs(enc, uint64(sp.lo))
-		}
-		batchPass(v.NumRows(), workers, width, needIDs, buf, enc, dp, nil, sink)
-	}
-	return nil
 }
 
 // topNSpanScan drives a TOP N scan over t's blocks with the running

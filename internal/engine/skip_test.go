@@ -15,7 +15,7 @@ import (
 const skipBlockRows = 256
 
 // TestSkipEqualsDirect is the tentpole invariant: with a skip index
-// attached, every skipping path — direct, batched Cheetah, sharded —
+// attached, every skipping path — direct, fused Cheetah, sharded —
 // returns results bit-identical to the no-skip ExecDirect for every
 // query kind, while the bookkeeping accounts for every block.
 func TestSkipEqualsDirect(t *testing.T) {

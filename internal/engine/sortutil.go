@@ -10,6 +10,40 @@ import (
 // byte-wise compare.
 func compareStrings(a, b string) int { return strings.Compare(a, b) }
 
+// lexRows orders rows element-wise without allocating per comparison.
+// For cells without NUL this is exactly the order of the NUL-joined row
+// key (Result.Sort checks for NUL and picks the sort).
+type lexRows [][]string
+
+func (r lexRows) Len() int      { return len(r) }
+func (r lexRows) Swap(i, j int) { r[i], r[j] = r[j], r[i] }
+func (r lexRows) Less(i, j int) bool {
+	a, b := r[i], r[j]
+	for k := 0; k < len(a) && k < len(b); k++ {
+		if c := compareStrings(a[k], b[k]); c != 0 {
+			return c < 0
+		}
+	}
+	return len(a) < len(b)
+}
+
+// sortedResult builds a Result whose rows are in Result.Sort order.
+func sortedResult(columns []string, rows [][]string) *Result {
+	res := &Result{Columns: columns, Rows: rows}
+	res.Sort()
+	return res
+}
+
+// singleCellRows wraps already-sorted cell values as single-column
+// result rows backed by one allocation.
+func singleCellRows(cells []string) [][]string {
+	rows := make([][]string, len(cells))
+	for i := range cells {
+		rows[i] = cells[i : i+1 : i+1]
+	}
+	return rows
+}
+
 // radixSortStrings sorts cells byte-wise lexicographically — the exact
 // order of sort.Strings and Result.Sort for single-column rows — using
 // MSD radix bucketing. Result sets routinely share long prefixes

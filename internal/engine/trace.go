@@ -1,28 +1,18 @@
 package engine
 
-// Trace plumbing and the engine's single wall-clock capture point.
-//
-// Instrumentation is deliberately central: rather than sprinkling
-// timestamps through the eight per-kind executions, the engine
-// measures at the three places every execution funnels through —
-// dataplaneFor (every batch crosses the resolved dataplane), the
-// execCheetahBatch/execCheetahFused dispatch, and shardExec.run (every
-// sharded pass, including failover redos). A nil trace keeps all of it
-// disabled at the cost of one pointer check.
+// The engine's single wall-clock capture point. Trace spans are recorded
+// where every execution funnels through: the ExecCheetah dispatch (one
+// fused span per execution) and shardExec.run (every sharded pass,
+// including failover redos). A nil trace keeps all of it disabled at the
+// cost of one pointer check.
 
-import (
-	"sync/atomic"
-	"time"
-
-	"cheetah/internal/obs"
-	"cheetah/internal/switchsim"
-)
+import "time"
 
 // Stopwatch is the engine's one wall-clock source. Every execution
-// path — direct, cheetah (scalar/batched/fused) and sharded — captures
-// its wall time through StartClock/Elapsed so the numbers are
-// comparable across paths and cover a whole call including internal
-// failover redos, never a single attempt.
+// path — direct, cheetah (scalar/compiled) and sharded — captures its
+// wall time through StartClock/Elapsed so the numbers are comparable
+// across paths and cover a whole call including internal failover
+// redos, never a single attempt.
 type Stopwatch struct{ t0 time.Time }
 
 // StartClock starts a monotonic stopwatch.
@@ -30,73 +20,3 @@ func StartClock() Stopwatch { return Stopwatch{t0: time.Now()} }
 
 // Elapsed is the monotonic wall time since StartClock.
 func (s Stopwatch) Elapsed() time.Duration { return time.Since(s.t0) }
-
-// traceAcc accumulates dataplane time for one execution: ProcessBatch
-// wall time (the switch's share of the pass) and the offset of the
-// last processed batch (the stream/merge boundary). Atomics, because
-// batch collection may interleave with worker goroutines.
-type traceAcc struct {
-	base    time.Time
-	pruneNs atomic.Int64
-	lastEnd atomic.Int64 // ns offset of the last ProcessBatch return
-}
-
-// traceDataplane wraps the resolved dataplane and accumulates its
-// processing time. It intentionally does not forward FusedProgram —
-// the fused gate probes opts.Flow before the batch path resolves a
-// dataplane, so the wrapper never participates in that decision.
-type traceDataplane struct {
-	inner BatchDataplane
-	acc   *traceAcc
-}
-
-func (d traceDataplane) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
-	t0 := time.Now()
-	d.inner.ProcessBatch(b, decisions)
-	now := time.Now()
-	d.acc.pruneNs.Add(now.Sub(t0).Nanoseconds())
-	d.acc.lastEnd.Store(now.Sub(d.acc.base).Nanoseconds())
-}
-
-// Err forwards health so the serving path's failover detection still
-// sees the underlying lease through the wrapper.
-func (d traceDataplane) Err() error {
-	if h, ok := d.inner.(HealthDataplane); ok {
-		return h.Err()
-	}
-	return nil
-}
-
-// execCheetahBatchTraced runs the batch pipeline with the trace's
-// stage spans derived from one accumulator: the stream phase splits
-// into encode (worker-side encode + collection minus dataplane time)
-// and prune (accumulated ProcessBatch time); everything after the last
-// batch is the master's merge.
-func execCheetahBatchTraced(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	tr, sw := opts.Trace, opts.TraceSwitch
-	base := tr.Elapsed()
-	acc := &traceAcc{base: time.Now()}
-	opts.traceAcc = acc
-	run, err := execCheetahBatchDispatch(q, opts)
-	total := tr.Elapsed() - base
-	if err != nil || run == nil {
-		return run, err
-	}
-	pruneNs := time.Duration(acc.pruneNs.Load())
-	streamEnd := time.Duration(acc.lastEnd.Load())
-	if streamEnd > total {
-		streamEnd = total
-	}
-	encode := streamEnd - pruneNs
-	if encode < 0 {
-		encode = 0
-	}
-	tr.Add(obs.Span{Stage: obs.StageEncode, Switch: sw, Start: base, Dur: encode,
-		Entries: int64(run.Traffic.EntriesSent)})
-	tr.Add(obs.Span{Stage: obs.StagePrune, Switch: sw, Start: base + encode, Dur: pruneNs,
-		Entries: int64(run.Traffic.EntriesSent), Forwarded: int64(run.Traffic.Forwarded),
-		Note: run.PrunerName})
-	tr.Add(obs.Span{Stage: obs.StageMerge, Switch: sw, Start: base + streamEnd, Dur: total - streamEnd,
-		Entries: int64(run.Traffic.MasterProcessed)})
-	return run, nil
-}

@@ -28,10 +28,6 @@ func TestWallUnifiedAcrossPaths(t *testing.T) {
 				r, err := ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, Scalar: true})
 				return cheetahWall{r}, err
 			},
-			"batched": func() (interface{ wall() int64 }, error) {
-				r, err := ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, NoFuse: true})
-				return cheetahWall{r}, err
-			},
 			"fused": func() (interface{ wall() int64 }, error) {
 				r, err := ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7})
 				return cheetahWall{r}, err
@@ -71,7 +67,7 @@ func TestWallCoversFailoverRetries(t *testing.T) {
 	rt := equivTable(t, 900, 0x0dd)
 	q := equivQueries(tb, rt)["filter"]
 	h := newFailoverHarness(t, q, 3, 0xfeed, map[int]switchsim.FaultInjector{
-		1: func(flow uint32, batch int) bool { return batch >= 1 },
+		1: func(flow uint32, chunk int) bool { return chunk >= 1 },
 	})
 	tr := obs.New()
 	defer tr.Release()
@@ -112,65 +108,44 @@ func TestWallCoversFailoverRetries(t *testing.T) {
 
 // TestTracingDoesNotPerturbExecution pins the invariant: with and
 // without a trace attached, every kind produces bit-identical results,
-// traffic and stats on both the batched and fused paths.
+// traffic and stats.
 func TestTracingDoesNotPerturbExecution(t *testing.T) {
 	tb := equivTable(t, 3000, 0xabc)
 	rt := equivTable(t, 900, 0xdef)
 	for name, q := range equivQueries(tb, rt) {
-		for _, noFuse := range []bool{false, true} {
-			plain, err := ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, NoFuse: noFuse})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			tr := obs.New()
-			traced, err := ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, NoFuse: noFuse, Trace: tr})
-			if err != nil {
-				t.Fatalf("%s traced: %v", name, err)
-			}
-			if !traced.Result.Equal(plain.Result) {
-				t.Fatalf("%s noFuse=%v: tracing changed the result", name, noFuse)
-			}
-			if traced.Traffic != plain.Traffic || traced.Stats != plain.Stats {
-				t.Fatalf("%s noFuse=%v: tracing changed traffic/stats: %+v vs %+v",
-					name, noFuse, traced.Traffic, plain.Traffic)
-			}
-			tr.Release()
+		plain, err := ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		tr := obs.New()
+		traced, err := ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, Trace: tr})
+		if err != nil {
+			t.Fatalf("%s traced: %v", name, err)
+		}
+		if !traced.Result.Equal(plain.Result) {
+			t.Fatalf("%s: tracing changed the result", name)
+		}
+		if traced.Traffic != plain.Traffic || traced.Stats != plain.Stats {
+			t.Fatalf("%s: tracing changed traffic/stats: %+v vs %+v", name, traced.Traffic, plain.Traffic)
+		}
+		tr.Release()
 	}
 }
 
 // TestTraceSpansPerPath pins which stages each execution path records:
-// encode/prune/merge on the batched path, one fused span on the fused
-// path, per-shard + merge spans on the sharded path.
+// one fused span on the single-switch path, per-shard + merge spans on
+// the sharded path.
 func TestTraceSpansPerPath(t *testing.T) {
 	tb := equivTable(t, 3000, 0x111)
 	rt := equivTable(t, 900, 0x222)
 	for name, q := range equivQueries(tb, rt) {
-		// Batched path: the stream splits into encode and prune, then the
-		// master merge.
+		// Single switch: one fused span carrying the traffic.
 		tr := obs.New()
-		run, err := ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, NoFuse: true, Trace: tr})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		st := stagesOf(tr)
-		for _, want := range []obs.Stage{obs.StageEncode, obs.StagePrune, obs.StageMerge} {
-			if len(st[want]) == 0 {
-				t.Fatalf("%s batched: missing %v span; got:\n%s", name, want, tr)
-			}
-		}
-		if got := st[obs.StagePrune][0].Entries; got != int64(run.Traffic.EntriesSent) {
-			t.Fatalf("%s: prune span entries %d != traffic %d", name, got, run.Traffic.EntriesSent)
-		}
-		tr.Release()
-
-		// Fused path (default): one fused span carrying the traffic.
-		tr = obs.New()
-		run, err = ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, Trace: tr})
+		run, err := ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, Trace: tr})
 		if err != nil {
 			t.Fatalf("%s fused: %v", name, err)
 		}
-		st = stagesOf(tr)
+		st := stagesOf(tr)
 		if len(st[obs.StageFused]) == 0 {
 			t.Fatalf("%s: fused path recorded no fused span; got:\n%s", name, tr)
 		}

@@ -409,7 +409,7 @@ func TestScatterGatherThroughFabricLeases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flows := make([]engine.BatchDataplane, switches)
+		flows := make([]engine.Flow, switches)
 		for i, l := range leases {
 			flows[i] = l
 		}

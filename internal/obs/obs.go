@@ -47,8 +47,12 @@ const (
 	// StageScan covers a direct master-side scan+complete pass.
 	StageScan
 	// StageEncode covers worker-side entry encoding for a switch pass.
+	// No engine path records it today (the fused loops encode and prune
+	// in one span); it keeps its number because stage values are
+	// wire-stable.
 	StageEncode
-	// StagePrune covers the switch dataplane's pruning of a pass.
+	// StagePrune covers the switch dataplane's pruning of a pass. Like
+	// StageEncode it is unrecorded and kept for numbering.
 	StagePrune
 	// StageFused covers a fused encode→prune→compact loop, where the
 	// encode and prune phases are a single interleaved scan.

@@ -388,7 +388,7 @@ func TestChaosOneShotSharded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			flows := make([]engine.BatchDataplane, len(placements))
+			flows := make([]engine.Flow, len(placements))
 			for i, pl := range placements {
 				flows[i] = pl
 			}
@@ -398,7 +398,7 @@ func TestChaosOneShotSharded(t *testing.T) {
 				return killed.CompareAndSwap(false, true)
 			})
 			var mu sync.Mutex
-			failover := func(shard, attempt int) (prune.Pruner, engine.BatchDataplane, error) {
+			failover := func(shard, attempt int) (prune.Pruner, engine.Flow, error) {
 				npr, err := p.NewPruner()
 				if err != nil {
 					return nil, nil, err

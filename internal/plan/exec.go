@@ -173,7 +173,7 @@ func addSkipSpan(tr *obs.Trace, start time.Duration, st engine.SkipStats) {
 
 // Exec plans and executes the query through the planned path. It is the
 // session API's single execution entrypoint: the same call serves
-// direct, batched-Cheetah and cluster execution, and always returns the
+// direct, compiled-Cheetah and cluster execution, and always returns the
 // full Execution report. Unless the session disabled tracing, the
 // returned execution carries a lifecycle trace whose plan span covers
 // the planner call itself.

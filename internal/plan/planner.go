@@ -17,7 +17,7 @@ const (
 	// ModeDirect runs the query exactly on one node — the fallback when
 	// no pruning program fits the switch (or none exists for the kind).
 	ModeDirect Mode = iota
-	// ModeCheetah runs the in-process batched pruned path.
+	// ModeCheetah runs the in-process compiled pruned path (fused loops).
 	ModeCheetah
 	// ModeCluster runs the pruned path over the simulated lossy network
 	// with the §7.2 reliability protocol.

@@ -5,7 +5,7 @@
 // the §5 parameters from Table 2's profiles and the theorems'
 // configuration formulas, and admission-checks the program against the
 // hardware model; and one Exec entrypoint routes the query to direct,
-// batched-Cheetah, or cluster execution behind a single Execution report.
+// compiled-Cheetah, or cluster execution behind a single Execution report.
 //
 // The paper's central claim (§5, §6) is that this layer — not the user —
 // owns algorithm choice and tuning; packages engine, prune and switchsim
@@ -47,7 +47,7 @@ type Options struct {
 	Delta float64
 	// UseCluster routes single-pass queries over the simulated lossy
 	// network with the §7.2 reliability protocol instead of the
-	// in-process batched path. Multi-pass kinds (JOIN, HAVING,
+	// in-process compiled path. Multi-pass kinds (JOIN, HAVING,
 	// GROUP-BY-SUM) fall back to in-process execution with a note in the
 	// plan's Reason.
 	UseCluster bool
@@ -79,8 +79,8 @@ type Options struct {
 	Metrics *stats.Registry
 	// DisableTracing turns query lifecycle tracing off. By default every
 	// Exec/Submit/delta execution carries an obs.Trace collecting
-	// per-stage spans (plan, admission, skip, encode, prune, merge,
-	// per-switch passes), surfaced via Execution.Trace and
+	// per-stage spans (plan, admission, skip, fused, merge, per-switch
+	// passes), surfaced via Execution.Trace and
 	// Execution.ExplainAnalyze. Tracing times whole stages — never
 	// per-entry work — and carries nothing back into the execution, so
 	// results stay bit-identical either way; the knob exists for

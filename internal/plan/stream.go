@@ -11,7 +11,7 @@ package plan
 // lease(s) for the subscription's lifetime, so the standing program
 // keeps its switch state across deltas (the DISTINCT cache, TOP N
 // minima and GROUP BY maxima it warms on early deltas keep pruning the
-// later ones). Each committed delta batch then runs through the batched
+// later ones). Each committed delta batch then runs through the compiled
 // engine — engine.ExecSharded across the fabric when Switches > 1 —
 // against only the delta, and the result folds into the standing
 // result.
@@ -553,7 +553,7 @@ func (st *Streaming) shardedExec(ctx context.Context, ss *Subscription, p *Plan,
 	ss.mu.Lock()
 	ss.placements = placements
 	ss.mu.Unlock()
-	flows := make([]engine.BatchDataplane, len(placements))
+	flows := make([]engine.Flow, len(placements))
 	for i, pl := range placements {
 		flows[i] = pl
 	}
@@ -562,7 +562,7 @@ func (st *Streaming) shardedExec(ctx context.Context, ss *Subscription, p *Plan,
 		// The hook runs on the engine's per-shard goroutines; distinct
 		// shards re-place concurrently, so the shared slices and the
 		// subscription's placement list update under ss.mu.
-		failover := func(shard, attempt int) (prune.Pruner, engine.BatchDataplane, error) {
+		failover := func(shard, attempt int) (prune.Pruner, engine.Flow, error) {
 			npl, npr, rerr := st.replacement(p, dq, standing, windowed)
 			if rerr != nil {
 				return nil, nil, rerr
@@ -579,7 +579,7 @@ func (st *Streaming) shardedExec(ctx context.Context, ss *Subscription, p *Plan,
 		}
 		ss.mu.Lock()
 		curPruners := append([]prune.Pruner(nil), pruners...)
-		curFlows := append([]engine.BatchDataplane(nil), flows...)
+		curFlows := append([]engine.Flow(nil), flows...)
 		ss.mu.Unlock()
 		resetForDelta(curPruners, windowed)
 		passStart := tr.Elapsed()

@@ -1,24 +1,21 @@
 package prune
 
 // This file is the pruner side of the engine's fused execution loops
-// (engine/fuse.go). The batched path dispatches one interface
-// ProcessBatch call per chunk and round-trips a Decision slice between
-// encode and collect; the fused path instead compiles one monomorphic
-// loop per query kind that reads table columns directly and needs, per
-// entry, only the pruner's core state transition — no interface call,
-// no stats update, no Decision materialization.
+// (engine/fuse.go). The engine compiles one monomorphic loop per query
+// kind that reads table columns directly and needs, per entry, only the
+// pruner's core state transition — no interface call, no stats update,
+// no Decision materialization.
 //
-// The contract mirrors BatchProgram's: each Fused* entry point performs
-// exactly the per-entry state transition and verdict of Process, minus
-// the statistics, which the engine accumulates in loop-local counters
-// and deposits once per pass through AddStats. A pruner's Stats() after
-// a fused pass equal those after the equivalent Process sequence. The
-// one sanctioned deviation is RandTopN's RNG (see FusedRandState): the
-// fused path draws row choices from a counter-indexed stream rather
-// than the scalar path's serial chain, so its prune decisions differ
-// from the scalar oracle while final query Results stay bit-identical
-// (master-side completion is exact for TOP N regardless of which
-// entries were pruned).
+// Each Fused* entry point performs exactly the per-entry state
+// transition and verdict of Process, minus the statistics, which the
+// engine accumulates in loop-local counters and deposits once per pass
+// through AddStats. A pruner's Stats() after a fused pass equal those
+// after the equivalent Process sequence. The one sanctioned deviation
+// is RandTopN's RNG (see FusedRandState): the fused path draws row
+// choices from a counter-indexed stream rather than the scalar path's
+// serial chain, so its prune decisions differ from the scalar oracle
+// while final query Results stay bit-identical (master-side completion
+// is exact for TOP N regardless of which entries were pruned).
 
 import (
 	"cheetah/internal/boolexpr"
@@ -121,8 +118,8 @@ const FusedRandGolden = 0x9e3779b97f4a7c15
 // FusedRandState hands the fused TOP N loop everything its inner loop
 // needs and reserves n positions of the counter-indexed RNG stream.
 //
-// The scalar/batched paths advance a serial chain (rng = SplitMix64(rng))
-// whose loop-carried dependency caps the batch speedup; the fused path
+// Process advances a serial chain (rng = SplitMix64(rng)) whose
+// loop-carried dependency caps a streaming loop's speed; the fused path
 // instead derives entry i's row as
 //
 //	row_i = ReduceFull(Mix64(base + i·golden), d)

@@ -133,26 +133,6 @@ func (p *GroupBySum) ProcessEmit(vals []uint64) (switchsim.Decision, []uint64) {
 	return switchsim.Forward, p.emit
 }
 
-// ProcessBatch implements switchsim.BatchProgram with the batch's packet
-// rewriting contract: an absorbed entry is marked Prune; an eviction is
-// marked Forward and the entry's key and value columns are overwritten
-// in place with the displaced (key, partial sum) aggregate, modeling the
-// rewritten packet the master receives. Callers needing the original
-// values must read them before processing.
-func (p *GroupBySum) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
-	keys := b.Cols[0][:b.N]
-	sums := b.Cols[1][:b.N]
-	var scratch [2]uint64
-	for j := range keys {
-		scratch[0], scratch[1] = keys[j], sums[j]
-		d, out := p.ProcessEmit(scratch[:])
-		decisions[j] = d
-		if d == switchsim.Forward {
-			keys[j], sums[j] = out[0], out[1]
-		}
-	}
-}
-
 // Drain implements Drainer: the cached partial sums leave the switch as
 // (key, sum) pairs at end-of-stream.
 func (p *GroupBySum) Drain() [][]uint64 {

@@ -115,44 +115,6 @@ func (p *Having) Process(vals []uint64) switchsim.Decision {
 	return switchsim.Forward
 }
 
-// ProcessBatch implements switchsim.BatchProgram with the aggregate
-// dispatch lifted out of the loop: COUNT sweeps with a constant
-// increment, SUM with the value column (negative summands forwarded
-// untouched as in Process).
-func (p *Having) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
-	keys := b.Cols[0][:b.N]
-	cms := p.cms
-	thr := p.cfg.Threshold
-	pruned := uint64(0)
-	if p.cfg.Agg == HavingCount {
-		for j, key := range keys {
-			if cms.Add(key, 1) <= thr {
-				decisions[j] = switchsim.Prune
-				pruned++
-			} else {
-				decisions[j] = switchsim.Forward
-			}
-		}
-	} else {
-		vals := b.Cols[1][:b.N]
-		for j, key := range keys {
-			inc := int64(vals[j])
-			if inc < 0 {
-				decisions[j] = switchsim.Forward
-				continue
-			}
-			if cms.Add(key, inc) <= thr {
-				decisions[j] = switchsim.Prune
-				pruned++
-			} else {
-				decisions[j] = switchsim.Forward
-			}
-		}
-	}
-	p.stats.Processed += uint64(len(keys))
-	p.stats.Pruned += pruned
-}
-
 // Reset implements switchsim.Program.
 func (p *Having) Reset() {
 	p.cms.Reset()

@@ -72,21 +72,6 @@ type Pruner interface {
 // profile formula divides work across stages (the "A" of Table 2).
 const DefaultALUsPerStage = 10
 
-// Every shipped pruner implements the batched fast path; the engine's
-// batch pipeline falls back to per-entry Process only for third-party
-// programs.
-var (
-	_ switchsim.BatchProgram = (*Filter)(nil)
-	_ switchsim.BatchProgram = (*Distinct)(nil)
-	_ switchsim.BatchProgram = (*DetTopN)(nil)
-	_ switchsim.BatchProgram = (*RandTopN)(nil)
-	_ switchsim.BatchProgram = (*GroupBy)(nil)
-	_ switchsim.BatchProgram = (*GroupBySum)(nil)
-	_ switchsim.BatchProgram = (*Having)(nil)
-	_ switchsim.BatchProgram = (*Join)(nil)
-	_ switchsim.BatchProgram = (*Skyline)(nil)
-)
-
 // ceilDiv returns ⌈a/b⌉ for positive b.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 

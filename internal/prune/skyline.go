@@ -71,7 +71,6 @@ type Skyline struct {
 	fill    int
 	carry   []uint64 // scratch: the packet's current point
 	carryID uint64
-	gather  []uint64 // batch scratch: one entry's gathered values
 	stats   Stats
 }
 
@@ -252,28 +251,6 @@ func (p *Skyline) Process(vals []uint64) switchsim.Decision {
 func (p *Skyline) emitCarryID(vals []uint64) {
 	if len(vals) > p.cfg.Dims {
 		vals[p.cfg.Dims] = p.carryID
-	}
-}
-
-// ProcessBatch implements switchsim.BatchProgram. SKYLINE's per-entry
-// work is a full sweep of the stored points, so the batch win is the
-// hoisted gather scratch and decision loop rather than a columnar inner
-// loop; semantics are exactly sequential Process calls, including the
-// rewrite of the identifier column.
-func (p *Skyline) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
-	width := len(b.Cols)
-	if cap(p.gather) < width {
-		p.gather = make([]uint64, width)
-	}
-	vals := p.gather[:width]
-	for j := 0; j < b.N; j++ {
-		for i, c := range b.Cols {
-			vals[i] = c[j]
-		}
-		decisions[j] = p.Process(vals)
-		if width > p.cfg.Dims {
-			b.Cols[p.cfg.Dims][j] = vals[p.cfg.Dims]
-		}
 	}
 }
 

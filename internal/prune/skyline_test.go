@@ -267,8 +267,9 @@ func survivorIDs(forwarded []uint64, s *Skyline) map[uint64]bool {
 }
 
 // TestSkylineDisplacedPointKeepsItsID pins the displaced point's id on
-// the forwarded packet, through Process and through ProcessBatch: every
-// true skyline point must reach the master.
+// the forwarded packet, through fresh packets and through the fused
+// loop's reused packet buffer: every true skyline point must reach the
+// master.
 func TestSkylineDisplacedPointKeepsItsID(t *testing.T) {
 	cfg := SkylineConfig{Dims: 2, Points: 2, Heuristic: SkylineSum}
 	want := []uint64{10, 30, 50} // (4,4), (10,0), (0,12)
@@ -291,34 +292,28 @@ func TestSkylineDisplacedPointKeepsItsID(t *testing.T) {
 		}
 	}
 
+	// The fused loop's shape: one packet buffer reused across entries,
+	// the carried id read back out of it.
 	s, err = NewSkyline(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := &switchsim.Batch{Cols: make([][]uint64, 3), N: len(displacedStream)}
-	for _, e := range displacedStream {
-		b.Cols[0] = append(b.Cols[0], e.pt[0])
-		b.Cols[1] = append(b.Cols[1], e.pt[1])
-		b.Cols[2] = append(b.Cols[2], e.id)
-	}
-	dec := make([]switchsim.Decision, b.N)
-	s.ProcessBatch(b, dec)
 	fwd = fwd[:0]
-	for j, d := range dec {
-		if d == switchsim.Forward {
-			fwd = append(fwd, b.Cols[2][j])
+	buf := make([]uint64, 3)
+	for j, e := range displacedStream {
+		buf[0], buf[1], buf[2] = e.pt[0], e.pt[1], e.id
+		if s.Process(buf) == switchsim.Forward {
+			fwd = append(fwd, buf[2])
+		}
+		// Coordinates are never rewritten: the master re-reads them by id.
+		if buf[0] != e.pt[0] || buf[1] != e.pt[1] {
+			t.Fatalf("entry %d coordinates rewritten", j)
 		}
 	}
 	got = survivorIDs(fwd, s)
 	for _, id := range want {
 		if !got[id] {
-			t.Fatalf("ProcessBatch: skyline point %d never reached the master (got %v)", id, got)
-		}
-	}
-	// Coordinates are never rewritten: the master re-reads them by id.
-	for j, e := range displacedStream {
-		if b.Cols[0][j] != e.pt[0] || b.Cols[1][j] != e.pt[1] {
-			t.Fatalf("entry %d coordinates rewritten", j)
+			t.Fatalf("reused buffer: skyline point %d never reached the master (got %v)", id, got)
 		}
 	}
 }

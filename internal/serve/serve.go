@@ -6,8 +6,8 @@
 // admits pruning programs on behalf of many concurrent clients: each
 // admitted query gets a fresh QueryID (flow id), its program is packed
 // into the shared pipeline via the usual CanInstall/Install admission
-// arithmetic, and a Lease hands the execution a flow-scoped dataplane
-// handle — the query never owns the pipeline, it owns a flow.
+// arithmetic, and a Lease hands the execution a flow handle — the query
+// never owns the pipeline, it owns a flow.
 //
 // When the pipeline is full, admissions wait in a priority queue (FIFO
 // within a priority level) and are re-admitted as completing queries
@@ -22,9 +22,10 @@
 //
 // The server also models the switch's failure lifecycle (§7.2): Fail
 // marks the switch dead — active leases are revoked (their Release
-// becomes a no-op), queued admissions fail with ErrFailed, and the dead
-// pipeline forwards all traffic unpruned, which is exactly what keeps
-// the master's completion exact. Restore brings the switch back with a
+// becomes a no-op, their Err reports ErrFailed), queued admissions fail
+// with ErrFailed, and the execution discards any pass that crossed the
+// failure and redoes it elsewhere — which is exactly what keeps the
+// master's completion exact. Restore brings the switch back with a
 // fresh, empty pipeline: revoked leases stay revoked, and their
 // standing programs must be re-admitted (with state rebuilt by the
 // owner — the switch's registers did not survive).
@@ -488,7 +489,7 @@ func (s *Server) release(l *Lease) {
 	}
 	// Uninstall only needs the lease's own traffic to have stopped, and
 	// it has: a lease is released by the query's execution goroutine
-	// after its last batch. Other flows' in-flight batches are untouched
+	// after its last chunk. Other flows' in-flight chunks are untouched
 	// — they run on their own programs, looked up before this point.
 	if err := l.pipe.Uninstall(l.flowID); err != nil {
 		// The lease is the only installer for its flow id on a healthy
@@ -647,8 +648,10 @@ func (s *Server) Close() {
 }
 
 // Lease is one admitted query's hold on the shared pipeline: its
-// QueryID, its installed program, and the flow-scoped dataplane handle
-// the batched engine executes through. Release returns the resources
+// QueryID, its installed program, and the flow handle (engine.Flow)
+// the engine streams through: the engine drives the installed program
+// directly, marks chunk boundaries with Chunk and checks Err after each
+// pass. Release returns the resources
 // and wakes queued admissions; it is idempotent, and a no-op for leases
 // revoked by switch failure (the pipeline that held the program is
 // gone).
@@ -682,30 +685,18 @@ func (l *Lease) Tenant() string { return l.tenant }
 // execution reports.
 func (l *Lease) Utilization() switchsim.Utilization { return l.util }
 
-// ProcessBatch routes one batch through the lease's pipeline under its
-// QueryID. It implements engine.BatchDataplane. On a failed switch
-// every entry forwards — the dataplane never lies toward wrong results,
-// only toward more master work.
-func (l *Lease) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
-	l.pipe.ProcessBatch(l.flowID, b, decisions)
-}
-
-// FusedProgram reports whether the engine's fused loops may drive this
-// lease's program directly, returning it when so and nil otherwise
-// (failed switch, uninstalled flow, fault injector armed — the
-// pipeline decides; see switchsim.Pipeline.FusedProgram). The lease's
-// owner is the only goroutine driving its flow's traffic, so direct
-// access preserves the per-flow ownership discipline, and the engine
-// still runs its post-pass Err check for failover.
-func (l *Lease) FusedProgram() switchsim.Program {
-	return l.pipe.FusedProgram(l.flowID)
+// Chunk marks a chunk boundary of the query's stream on the lease's
+// pipeline (see switchsim.Pipeline.Chunk): the engine calls it before
+// every chunk it streams through the lease's program, which is where an
+// armed fault injector may kill the switch. It implements engine.Flow.
+func (l *Lease) Chunk() {
+	l.pipe.Chunk(l.flowID)
 }
 
 // Err reports the lease's health: nil while the switch holds the
 // program, ErrFailed once the switch has failed (the program and its
 // register state are gone, and any pass that crossed the failure must
-// be redone — the engine's failover hook). It implements
-// engine.HealthDataplane.
+// be redone — the engine's failover hook). It implements engine.Flow.
 func (l *Lease) Err() error {
 	l.s.mu.Lock()
 	defer l.s.mu.Unlock()

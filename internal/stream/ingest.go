@@ -7,7 +7,7 @@
 // versioned consistent-prefix snapshots (Ingestor), per-kind merge
 // state folding each delta's execution result into a standing result
 // (merge.go), and subscriptions that drive deltas through any executor
-// — direct, batched, sharded, or a fabric lease — and expose the
+// — direct, compiled, sharded, or a fabric lease — and expose the
 // standing result by polling or over a channel (subscription.go).
 //
 // The load-bearing invariant, pinned by the property suites: after any

@@ -5,7 +5,7 @@ package stream
 // bit-identical to running the query from scratch on the full prefix.
 // Working on rendered results — not raw survivor streams — makes the
 // merge path executor-agnostic: the same state merges deltas produced
-// by ExecDirect, the batched pipeline, ExecSharded, or a fabric lease,
+// by ExecDirect, the compiled engine, ExecSharded, or a fabric lease,
 // because all of them render the same canonical rows.
 //
 // Why each merge is exact:

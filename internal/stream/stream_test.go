@@ -99,7 +99,7 @@ func runSchedule(t *testing.T, in *Ingestor, src *table.Table, schedule string,
 // suite: for all 8 kinds × delta schedules × seeds, the standing result
 // after any append schedule is bit-identical to running the query from
 // scratch on the full prefix — with the exact executor and with the
-// batched pruned executor (standing switch state across deltas).
+// fused pruned executor (standing switch state across deltas).
 func TestIncrementalEquivalence(t *testing.T) {
 	execs := map[string]func(seed uint64) DeltaExec{
 		"direct": func(uint64) DeltaExec { return DirectExec },

@@ -2,6 +2,33 @@ package switchsim
 
 import "testing"
 
+// parityProgram prunes entries whose first value is odd and counts the
+// entries it processed.
+type parityProgram struct{ calls int }
+
+func (p *parityProgram) Profile() Profile { return Profile{Name: "parity", Stages: 1} }
+func (p *parityProgram) Reset()           {}
+func (p *parityProgram) Process(vals []uint64) Decision {
+	p.calls++
+	if vals[0]%2 == 1 {
+		return Prune
+	}
+	return Forward
+}
+
+// streamChunk sends one chunk of n entries (values 0, 3, 6, …) of flow
+// through the pipeline the way an execution does — the chunk hook, then
+// the entries — and returns how many were pruned.
+func streamChunk(pl *Pipeline, flow uint32, n int) (pruned int) {
+	pl.Chunk(flow)
+	for i := 0; i < n; i++ {
+		if pl.Process(flow, []uint64{uint64(i * 3)}) == Prune {
+			pruned++
+		}
+	}
+	return pruned
+}
+
 // TestFailedPipelineForwardsEverything: a dead switch stops pruning —
 // every entry forwards (the §7.2 conservative behaviour) — and rejects
 // control-plane installs until restored.
@@ -10,19 +37,11 @@ func TestFailedPipelineForwardsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &batchParityProgram{}
+	p := &parityProgram{}
 	if err := pl.Install(1, p); err != nil {
 		t.Fatal(err)
 	}
-	b, dec := testBatch(64)
-	pl.ProcessBatch(1, b, dec)
-	pruned := 0
-	for _, d := range dec {
-		if d == Prune {
-			pruned++
-		}
-	}
-	if pruned == 0 {
+	if streamChunk(pl, 1, 64) == 0 {
 		t.Fatal("healthy pipeline pruned nothing — test program broken")
 	}
 
@@ -30,14 +49,8 @@ func TestFailedPipelineForwardsEverything(t *testing.T) {
 	if !pl.Failed() {
 		t.Fatal("Failed() false after Fail()")
 	}
-	pl.ProcessBatch(1, b, dec)
-	for j, d := range dec {
-		if d != Forward {
-			t.Fatalf("entry %d: dead switch decided %v, want Forward", j, d)
-		}
-	}
-	if d := pl.Process(1, []uint64{3}); d != Forward {
-		t.Fatalf("scalar path on dead switch decided %v, want Forward", d)
+	if pruned := streamChunk(pl, 1, 64); pruned != 0 {
+		t.Fatalf("dead switch pruned %d entries, want 0", pruned)
 	}
 	if err := pl.Install(2, &parityProgram{}); err == nil {
 		t.Fatal("Install succeeded on a dead switch")
@@ -48,39 +61,32 @@ func TestFailedPipelineForwardsEverything(t *testing.T) {
 }
 
 // TestFaultInjectorKillsBetweenBatches: the injector sees a
-// monotonically increasing batch ordinal and kills the switch exactly
-// at the chosen boundary — decisions before the kill stand, the killed
-// batch and everything after forward.
+// monotonically increasing chunk ordinal through the chunk hook and
+// kills the switch exactly at the chosen boundary — decisions before the
+// kill stand, the killed chunk and everything after forward.
 func TestFaultInjectorKillsBetweenBatches(t *testing.T) {
 	pl, err := NewPipeline(Tofino())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pl.Install(7, &batchParityProgram{}); err != nil {
+	if err := pl.Install(7, &parityProgram{}); err != nil {
 		t.Fatal(err)
 	}
 	var seen []int
-	pl.SetFaultInjector(func(flowID uint32, batch int) bool {
+	pl.SetFaultInjector(func(flowID uint32, chunk int) bool {
 		if flowID != 7 {
 			t.Errorf("injector saw flow %d, want 7", flowID)
 		}
-		seen = append(seen, batch)
-		return batch >= 2 // die between the 2nd and 3rd batch
+		seen = append(seen, chunk)
+		return chunk >= 2 // die between the 2nd and 3rd chunk
 	})
 	for i := 0; i < 4; i++ {
-		b, dec := testBatch(32)
-		pl.ProcessBatch(7, b, dec)
-		pruned := 0
-		for _, d := range dec {
-			if d == Prune {
-				pruned++
-			}
-		}
+		pruned := streamChunk(pl, 7, 32)
 		if i < 2 && pruned == 0 {
-			t.Fatalf("batch %d before the kill pruned nothing", i)
+			t.Fatalf("chunk %d before the kill pruned nothing", i)
 		}
 		if i >= 2 && pruned != 0 {
-			t.Fatalf("batch %d after the kill still pruned %d entries", i, pruned)
+			t.Fatalf("chunk %d after the kill still pruned %d entries", i, pruned)
 		}
 	}
 	if !pl.Failed() {
@@ -93,35 +99,64 @@ func TestFaultInjectorKillsBetweenBatches(t *testing.T) {
 	}
 }
 
-// TestFaultInjectorScopedToArmedFlow: batches of other flows advance
-// the shared ordinal but a kill triggered by one flow takes the whole
-// switch down — the failure domain is the switch, not the flow.
+// TestFaultInjectorScopedToArmedFlow: chunks of other flows advance the
+// shared ordinal but a kill triggered by one flow takes the whole switch
+// down — the failure domain is the switch, not the flow.
 func TestFaultInjectorScopedToArmedFlow(t *testing.T) {
 	pl, err := NewPipeline(Tofino())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pl.Install(1, &batchParityProgram{}); err != nil {
+	if err := pl.Install(1, &parityProgram{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := pl.Install(2, &batchParityProgram{}); err != nil {
+	if err := pl.Install(2, &parityProgram{}); err != nil {
 		t.Fatal(err)
 	}
-	pl.SetFaultInjector(func(flowID uint32, batch int) bool { return flowID == 1 })
-	b, dec := testBatch(16)
-	pl.ProcessBatch(2, b, dec) // not the armed flow: switch stays up
+	pl.SetFaultInjector(func(flowID uint32, chunk int) bool { return flowID == 1 })
+	streamChunk(pl, 2, 16) // not the armed flow: switch stays up
 	if pl.Failed() {
 		t.Fatal("injector killed the switch from an unarmed flow")
 	}
-	pl.ProcessBatch(1, b, dec)
+	pl.Chunk(1)
 	if !pl.Failed() {
 		t.Fatal("armed flow did not kill the switch")
 	}
 	// Both flows now forward — the whole switch is dead.
-	pl.ProcessBatch(2, b, dec)
-	for j, d := range dec {
-		if d != Forward {
-			t.Fatalf("flow 2 entry %d decided %v after switch death", j, d)
-		}
+	if pruned := streamChunk(pl, 2, 16); pruned != 0 {
+		t.Fatalf("flow 2 pruned %d entries after switch death", pruned)
+	}
+}
+
+// TestPipelineProcessBatchUnknownFlow: a chunk of a flow with no
+// installed program passes through untouched, and its chunk hook is
+// harmless without an injector.
+func TestPipelineProcessBatchUnknownFlow(t *testing.T) {
+	pl, err := NewPipeline(Tofino())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pruned := streamChunk(pl, 99, 8); pruned != 0 {
+		t.Fatalf("unknown flow pruned %d entries, want 0", pruned)
+	}
+	if pl.Failed() {
+		t.Fatal("chunk hook of an unknown flow failed the switch")
+	}
+}
+
+// TestPipelineProcessBatchInstalledFlow: a chunk of an installed flow
+// runs every entry through that flow's program.
+func TestPipelineProcessBatchInstalledFlow(t *testing.T) {
+	pl, err := NewPipeline(Tofino())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &parityProgram{}
+	if err := pl.Install(7, p); err != nil {
+		t.Fatal(err)
+	}
+	streamChunk(pl, 7, 16)
+	if p.calls != 16 {
+		t.Fatalf("installed flow processed %d entries, want 16", p.calls)
 	}
 }

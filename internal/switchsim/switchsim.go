@@ -193,11 +193,12 @@ type Placement struct {
 // the write lock, dataplane and inspection paths the read lock — the §5
 // concurrency model, where many queries' traffic crosses the switch
 // while the control plane installs and removes programs. Distinct flows
-// may process batches in parallel. One flow's traffic must stay
-// single-threaded (as one query's packets arrive in order on the wire),
-// and the flow's owner must stop sending before uninstalling it. The
-// lock protects the placement tables, not program state: Process and
-// ProcessBatch run the program after releasing the read lock, so Reset
+// may stream in parallel. One flow's traffic must stay single-threaded
+// (as one query's packets arrive in order on the wire), and the flow's
+// owner must stop sending before uninstalling it. The lock protects the
+// placement tables, not program state: Process runs the program after
+// releasing the read lock, and an execution that owns a flow may drive
+// the flow's program directly between Chunk calls, so Reset
 // — which touches every program — must not run concurrently with
 // dataplane traffic (it models a switch reboot, not a hot path).
 type Pipeline struct {
@@ -211,18 +212,18 @@ type Pipeline struct {
 	reservedTop int // stages reserved for selection + reliability
 	failed      bool
 	injector    FaultInjector
-	batchSeq    atomic.Uint64 // dataplane batches seen, for the injector
+	chunkSeq    atomic.Uint64 // stream chunks seen, for the injector
 }
 
-// FaultInjector decides, before batch ordinal n crosses the pipeline,
-// whether the switch dies at that instant — i.e. between batch n-1 and
-// batch n. flowID is the flow about to process. A true return kills the
+// FaultInjector decides, before chunk ordinal n crosses the pipeline,
+// whether the switch dies at that instant — i.e. between chunk n-1 and
+// chunk n (see Chunk). flowID is the flow about to stream the chunk. A true return kills the
 // pipeline exactly as Fail does, except that the victim flow's program
 // state is also scrubbed (the calling goroutine owns that flow's
 // traffic, so the reset is within the per-flow ownership discipline —
 // the state a real switch loses at power-off). The injector must be
 // fast and must not call back into the pipeline.
-type FaultInjector func(flowID uint32, batch int) bool
+type FaultInjector func(flowID uint32, chunk int) bool
 
 // ReservedStages is the number of pipeline stages held back for the §6
 // prune-bit selection stage and the §7 reliability protocol.
@@ -262,7 +263,7 @@ func (pl *Pipeline) SetFaultInjector(fi FaultInjector) {
 // Fail marks the pipeline dead: every subsequent dataplane decision is
 // Forward (a dead switch prunes nothing — the §7.2 backstop's exactness
 // anchor) and control-plane operations fail with ErrFailed. Program
-// state is NOT scrubbed here — in-flight batches of other flows may be
+// state is NOT scrubbed here — in-flight chunks of other flows may be
 // executing their programs, and the serving layer treats a dead
 // switch's state as lost regardless (revoked leases are never drained).
 // Idempotent.
@@ -282,7 +283,7 @@ func (pl *Pipeline) Failed() bool {
 // killFromFlow is the injector-initiated death: the calling goroutine
 // owns flowID's traffic, so that one program's state can be scrubbed
 // safely (modeling the register loss of a real power-off). Other flows'
-// programs simply go quiet — the dead pipeline stops invoking them.
+// owners see the death through their post-pass health check.
 func (pl *Pipeline) killFromFlow(flowID uint32) {
 	pl.mu.Lock()
 	if !pl.failed {
@@ -292,6 +293,24 @@ func (pl *Pipeline) killFromFlow(flowID uint32) {
 		}
 	}
 	pl.mu.Unlock()
+}
+
+// Chunk marks a chunk boundary in flowID's stream: an execution that
+// drives the flow's program calls it before every chunk of entries it
+// streams. When a FaultInjector is armed, it is consulted here with the
+// pipeline-wide chunk ordinal, so a test can kill the switch between any
+// two chunks of any flow. A dead pipeline ignores the call.
+func (pl *Pipeline) Chunk(flowID uint32) {
+	pl.mu.RLock()
+	failed, inj := pl.failed, pl.injector
+	pl.mu.RUnlock()
+	if failed || inj == nil {
+		return
+	}
+	n := pl.chunkSeq.Add(1)
+	if inj(flowID, int(n-1)) {
+		pl.killFromFlow(flowID)
+	}
 }
 
 // Programs returns a snapshot of the admitted placements in installation

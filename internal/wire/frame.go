@@ -147,9 +147,15 @@ func WriteFrame(w io.Writer, t FrameType, body []byte) error {
 	return err
 }
 
+// frameReadStep is the body buffer ReadFrame starts with; it doubles
+// as bytes arrive, so a length prefix alone commits at most this much
+// memory and an honest frame costs about one extra copy of its body.
+const frameReadStep = 64 << 10
+
 // ReadFrame reads one frame, allocating at most MaxFrameLen for the
-// body. io.EOF surfaces unchanged on a clean close before the length
-// prefix; a partial frame is io.ErrUnexpectedEOF.
+// body, and only as fast as body bytes arrive. io.EOF surfaces
+// unchanged on a clean close before the length prefix; a partial frame
+// is io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -165,12 +171,22 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	if n > MaxFrameLen {
 		return 0, nil, ErrFrameTooLarge
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	buf := make([]byte, min(int(n), frameReadStep))
+	for read := 0; ; {
+		m, err := io.ReadFull(r, buf[read:])
+		read += m
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
 		}
-		return 0, nil, err
+		if read == int(n) {
+			break
+		}
+		grown := make([]byte, min(2*len(buf), int(n)))
+		copy(grown, buf)
+		buf = grown
 	}
 	return FrameType(buf[0]), buf[1:], nil
 }

@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cheetah/internal/boolexpr"
@@ -284,6 +286,38 @@ func TestReadWriteFrame(t *testing.T) {
 	// Zero-length frames are malformed (no type byte).
 	if _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0})); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("zero-length: %v", err)
+	}
+}
+
+// TestReadFrameAllocatesAsBytesArrive: a length prefix claiming the
+// largest legal frame, followed by nothing, costs far less than the
+// claim, and a body spanning several buffer doublings still reads back
+// exactly.
+func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
+	var prefix [4]byte
+	binary.BigEndian.PutUint32(prefix[:], MaxFrameLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(prefix[:]))
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("claimed-but-absent body: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a bare length prefix allocated %d bytes, want < 1 MiB", got)
+	}
+
+	body := make([]byte, 5*frameReadStep+3)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, FrameResult, body); err != nil {
+		t.Fatal(err)
+	}
+	ft, got, err := ReadFrame(&buf)
+	if err != nil || ft != FrameResult || !bytes.Equal(got, body) {
+		t.Fatalf("large frame: type %v, %d bytes, err %v", ft, len(got), err)
 	}
 }
 

@@ -2,7 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+
+	"cheetah/internal/boolexpr"
+	"cheetah/internal/engine"
+	"cheetah/internal/prune"
+	"cheetah/internal/table"
 )
 
 // FuzzPacketDecodeFrom throws arbitrary bytes at the dataplane packet
@@ -119,6 +125,142 @@ func FuzzFrameDecode(f *testing.F) {
 		out := m.EncodeBody(nil)
 		if !bytes.Equal(out, body) {
 			t.Fatalf("frame %d round trip not canonical:\n in %x\nout %x", ft, body, out)
+		}
+	})
+}
+
+// fuzzTables builds the catalog FuzzQueryEquivalence binds specs to:
+// table "t" and its join partner "r", with skewed string keys, repeated
+// values and block skip indexes, so every pruner sees hits, misses and
+// evictions and every skipping path has blocks to consider.
+func fuzzTables(tb testing.TB) map[string]*table.Table {
+	tb.Helper()
+	gen := func(rows int, seed uint64) *table.Table {
+		t := table.MustNew(table.Schema{
+			{Name: "name", Type: table.String},
+			{Name: "score", Type: table.Int64},
+			{Name: "group", Type: table.String},
+			{Name: "val", Type: table.Int64},
+			{Name: "dim1", Type: table.Int64},
+			{Name: "dim2", Type: table.Int64},
+		})
+		s := seed
+		next := func(mod int64) int64 {
+			s = s*6364136223846793005 + 1442695040888963407
+			return int64(s>>33) % mod
+		}
+		for i := 0; i < rows; i++ {
+			err := t.AppendRow(fmt.Sprintf("user%03d", next(90)), next(10_000)+int64(i), fmt.Sprintf("g%d", next(13)),
+				next(200)-20, next(500), next(500))
+			if err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if err := t.BuildSkipIndex(64); err != nil {
+			tb.Fatal(err)
+		}
+		return t
+	}
+	return map[string]*table.Table{"t": gen(400, 0x5eed), "r": gen(150, 0x0dd)}
+}
+
+// FuzzQueryEquivalence decodes a query spec with the canonical codec,
+// binds it to generated tables, and pins every execution path to the
+// oracles: Results equal ExecDirect's on the compiled path at 1 and 3
+// workers, with block skipping, on the scalar path and sharded over 2
+// switches; compiled Traffic and Stats equal the scalar path's at the
+// same worker count (randomized TOP N draws a different, equally sound
+// RNG stream and is exempt). Specs that fail Bind are skipped.
+func FuzzQueryEquivalence(f *testing.F) {
+	tables := fuzzTables(f)
+	t := tables["t"]
+	filter := []engine.FilterPred{
+		{Col: "score", Op: prune.OpGT, Const: 4_000},
+		{Col: "val", Op: prune.OpLT, Const: 90},
+		{Col: "name", Like: "user0%"},
+	}
+	seeds := []*engine.Query{
+		{Kind: engine.KindFilter, Table: t, Predicates: filter,
+			Formula: boolexpr.Or{boolexpr.And{boolexpr.Leaf{V: 0}, boolexpr.Leaf{V: 1}}, boolexpr.Leaf{V: 2}}},
+		{Kind: engine.KindFilter, Table: t, Predicates: filter[:1], Formula: boolexpr.Leaf{V: 0}, CountOnly: true},
+		{Kind: engine.KindDistinct, Table: t, DistinctCols: []string{"name"}},
+		{Kind: engine.KindDistinct, Table: t, DistinctCols: []string{"group", "val"}},
+		{Kind: engine.KindTopN, Table: t, OrderCol: "score", N: 20},
+		{Kind: engine.KindGroupByMax, Table: t, KeyCol: "group", AggCol: "score"},
+		{Kind: engine.KindGroupBySum, Table: t, KeyCol: "group", AggCol: "val"},
+		{Kind: engine.KindHaving, Table: t, KeyCol: "name", AggCol: "val", Threshold: 300},
+		{Kind: engine.KindJoin, Table: t, Right: tables["r"], LeftKey: "name", RightKey: "name"},
+		{Kind: engine.KindSkyline, Table: t, SkylineCols: []string{"dim1", "dim2"}},
+	}
+	for _, q := range seeds {
+		right := ""
+		if q.Right != nil {
+			right = "r"
+		}
+		s, err := SpecOf(q, "t", right)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(appendSpec(nil, s))
+	}
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		d := decoder{b: b}
+		s := d.spec()
+		if d.done() != nil {
+			return
+		}
+		q, err := s.Bind(tables)
+		if err != nil {
+			return
+		}
+		direct, err := engine.ExecDirect(q)
+		if err != nil {
+			t.Fatalf("ExecDirect of a bound query: %v", err)
+		}
+		exempt := q.Kind == engine.KindTopN
+		for _, workers := range []int{1, 3} {
+			scalar, serr := engine.ExecCheetah(q, engine.CheetahOptions{Workers: workers, Seed: 7, Scalar: true})
+			run, err := engine.ExecCheetah(q, engine.CheetahOptions{Workers: workers, Seed: 7})
+			if (serr == nil) != (err == nil) {
+				t.Fatalf("w=%d: scalar error %v, compiled error %v", workers, serr, err)
+			}
+			if err != nil {
+				// The engine has no default program for this shape; every
+				// pruned path refuses it alike.
+				return
+			}
+			if !scalar.Result.Equal(direct) {
+				t.Fatalf("w=%d: scalar result diverges\ndirect:\n%s\nscalar:\n%s", workers, direct, scalar.Result)
+			}
+			if !run.Result.Equal(direct) {
+				t.Fatalf("w=%d: compiled result diverges\ndirect:\n%s\ncompiled:\n%s", workers, direct, run.Result)
+			}
+			if !exempt && (run.Traffic != scalar.Traffic || run.Stats != scalar.Stats) {
+				t.Fatalf("w=%d: compiled traffic %+v stats %+v, scalar %+v %+v",
+					workers, run.Traffic, run.Stats, scalar.Traffic, scalar.Stats)
+			}
+		}
+		skip, err := engine.ExecCheetah(q, engine.CheetahOptions{Workers: 3, Seed: 7, Skip: true})
+		if err != nil {
+			t.Fatalf("skip: %v", err)
+		}
+		if !skip.Result.Equal(direct) {
+			t.Fatalf("skip result diverges\ndirect:\n%s\nskip:\n%s", direct, skip.Result)
+		}
+		if q.Kind == engine.KindJoin {
+			lt := q.Table.Schema()[q.Table.Schema().Index(q.LeftKey)].Type
+			rt := q.Right.Schema()[q.Right.Schema().Index(q.RightKey)].Type
+			if lt != rt {
+				return // co-locating shards needs same-typed keys
+			}
+		}
+		sharded, err := engine.ExecSharded(q, engine.ShardedOptions{Shards: 2, Workers: 2, Seed: 7})
+		if err != nil {
+			t.Fatalf("sharded: %v", err)
+		}
+		if !sharded.Result.Equal(direct) {
+			t.Fatalf("sharded result diverges\ndirect:\n%s\nsharded:\n%s", direct, sharded.Result)
 		}
 	})
 }
