@@ -215,6 +215,54 @@ func BenchmarkExecCheetahFilter100kScalar(b *testing.B) {
 	benchExecCheetah(b, filter100kQuery(b), 100_000, cheetah.CheetahOptions{Scalar: true})
 }
 
+// havingWireMixQuery is the wire-mix HAVING shape: 160k UserVisits rows,
+// 100 languageCode keys, duration summands in 1..600 and a threshold of
+// one per row, which every key clears — the sketch prunes little and the
+// exact second pass re-streams most of the table.
+func havingWireMixQuery(b *testing.B) *cheetah.Query {
+	uv := buildUserVisits(b, 160_000)
+	return &cheetah.Query{
+		Kind: cheetah.KindHaving, Table: uv, KeyCol: "languageCode", AggCol: "duration",
+		Threshold: int64(uv.NumRows()),
+	}
+}
+
+// benchHaving times one execution path of the wire-mix HAVING query at
+// one worker, reporting entries/s.
+func benchHaving(b *testing.B, exec func(q *cheetah.Query, seed uint64) error) {
+	b.Helper()
+	q := havingWireMixQuery(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := exec(q, uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(q.Table.NumRows()*b.N)/b.Elapsed().Seconds(), "entries/s")
+}
+
+func BenchmarkExecCheetahHavingFused(b *testing.B) {
+	benchHaving(b, func(q *cheetah.Query, seed uint64) error {
+		_, err := cheetah.ExecCheetah(q, cheetah.CheetahOptions{Workers: 1, Seed: seed})
+		return err
+	})
+}
+
+func BenchmarkExecCheetahHavingSharded2(b *testing.B) {
+	benchHaving(b, func(q *cheetah.Query, seed uint64) error {
+		_, err := cheetah.ExecSharded(q, cheetah.ShardedOptions{Shards: 2, Workers: 1, Seed: seed})
+		return err
+	})
+}
+
+func BenchmarkExecCheetahHavingDirect(b *testing.B) {
+	benchHaving(b, func(q *cheetah.Query, _ uint64) error {
+		_, err := cheetah.ExecDirect(q)
+		return err
+	})
+}
+
 func BenchmarkExecDirectDistinct100k(b *testing.B) {
 	uv := buildUserVisits(b, 100_000)
 	q := &cheetah.Query{Kind: cheetah.KindDistinct, Table: uv, DistinctCols: []string{"userAgent"}}

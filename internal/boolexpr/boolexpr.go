@@ -259,20 +259,88 @@ func Compile(e Expr, vars []int) (*TruthTable, error) {
 		}
 	}
 	n := len(vars)
-	size := 1 << n
 	tt := &TruthTable{
 		vars:  append([]int(nil), vars...),
-		table: make([]uint64, (size+63)/64),
+		table: make([]uint64, (1<<n+63)/64),
 	}
-	for idx := 0; idx < size; idx++ {
-		ok := e.Eval(func(v int) bool {
-			return idx&(1<<pos[v]) != 0
-		})
-		if ok {
-			tt.table[idx>>6] |= 1 << (idx & 63)
-		}
+	if err := truthWords(e, pos, tt.table); err != nil {
+		return nil, err
+	}
+	if n < 6 {
+		// One word holds the whole table; clear the bits past 2^n.
+		tt.table[0] &= 1<<(1<<n) - 1
 	}
 	return tt, nil
+}
+
+// leafWords[p] is one 64-entry truth-table word of the variable at
+// ordering position p < 6: bit i is set when bit p of i is. A variable
+// at position p ≥ 6 is constant across each word instead — word w is
+// all ones when bit p-6 of w is set.
+var leafWords = [6]uint64{
+	0xaaaaaaaaaaaaaaaa,
+	0xcccccccccccccccc,
+	0xf0f0f0f0f0f0f0f0,
+	0xff00ff00ff00ff00,
+	0xffff0000ffff0000,
+	0xffffffff00000000,
+}
+
+// truthWords writes e's truth table into dst by word-wise bitset
+// algebra: a leaf or constant is a fixed bit pattern, and AND/OR are the
+// word ANDs/ORs of their children's tables.
+func truthWords(e Expr, pos map[int]int, dst []uint64) error {
+	switch x := e.(type) {
+	case Const:
+		fill := uint64(0)
+		if x {
+			fill = ^uint64(0)
+		}
+		for i := range dst {
+			dst[i] = fill
+		}
+	case Leaf:
+		p := pos[x.V]
+		for i := range dst {
+			switch {
+			case p < 6:
+				dst[i] = leafWords[p]
+			case i>>(p-6)&1 != 0:
+				dst[i] = ^uint64(0)
+			default:
+				dst[i] = 0
+			}
+		}
+	case And:
+		return combineWords(x, pos, dst, true)
+	case Or:
+		return combineWords(x, pos, dst, false)
+	default:
+		return fmt.Errorf("boolexpr: cannot compile %T", e)
+	}
+	return nil
+}
+
+// combineWords writes the AND (and=true) or OR of kids' truth tables
+// into dst; an empty AND is true and an empty OR false, as in Eval.
+func combineWords(kids []Expr, pos map[int]int, dst []uint64, and bool) error {
+	if err := truthWords(Const(and), pos, dst); err != nil {
+		return err
+	}
+	kid := make([]uint64, len(dst))
+	for _, k := range kids {
+		if err := truthWords(k, pos, kid); err != nil {
+			return err
+		}
+		for i, w := range kid {
+			if and {
+				dst[i] &= w
+			} else {
+				dst[i] |= w
+			}
+		}
+	}
+	return nil
 }
 
 // NumVars returns the truth table's width.

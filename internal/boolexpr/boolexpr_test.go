@@ -213,7 +213,16 @@ func TestCompileErrors(t *testing.T) {
 	if _, err := Compile(Const(true), tooMany); err == nil {
 		t.Fatal("oversized table accepted")
 	}
+	if _, err := Compile(Or{Leaf{0}, notExpr{Leaf{0}}}, []int{0}); err == nil {
+		t.Fatal("foreign Expr type accepted")
+	}
 }
+
+// notExpr is an Expr implementation outside the package's algebra.
+type notExpr struct{ x Expr }
+
+func (n notExpr) Eval(assign func(int) bool) bool { return !n.x.Eval(assign) }
+func (n notExpr) String() string                  { return "NOT " + n.x.String() }
 
 func TestCompileMatchesEvalProperty(t *testing.T) {
 	f := func(shape uint8, idx uint16) bool {
@@ -230,6 +239,67 @@ func TestCompileMatchesEvalProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+	// 16 variables, the truth-table limit: variables at positions ≥ 6
+	// span whole words, so every entry of random formulas over a
+	// rotated ordering is checked against Eval.
+	f16 := func(seed uint64) bool {
+		e := randomExpr(&seed, 0, 16)
+		vars := make([]int, 16)
+		for i := range vars {
+			vars[i] = (i*7 + int(seed%16)) % 16
+		}
+		return tableMatchesEval(t, e, vars)
+	}
+	if err := quick.Check(f16, &quick.Config{MaxCount: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if e, vars := formula16(); !tableMatchesEval(t, e, vars) {
+		t.Fatal("formula16: truth table diverges from Eval")
+	}
+}
+
+// tableMatchesEval compiles e over vars and checks every table entry
+// against Eval.
+func tableMatchesEval(t *testing.T, e Expr, vars []int) bool {
+	t.Helper()
+	tt, err := Compile(e, vars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bit := map[int]uint32{}
+	for i, v := range vars {
+		bit[v] = 1 << i
+	}
+	for idx := uint32(0); idx < uint32(tt.Entries()); idx++ {
+		if tt.Lookup(idx) != e.Eval(func(v int) bool { return idx&bit[v] != 0 }) {
+			return false
+		}
+	}
+	return true
+}
+
+// randomExpr builds a random formula over variables [0, nvars) from a
+// SplitMix-style stream.
+func randomExpr(s *uint64, depth, nvars int) Expr {
+	*s += 0x9e3779b97f4a7c15
+	z := *s
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	if depth >= 4 || z%5 == 0 {
+		if z%23 == 0 {
+			return Const(z%2 == 0)
+		}
+		return Leaf{int(z>>8) % nvars}
+	}
+	kids := make([]Expr, 1+int(z>>16)%4)
+	for i := range kids {
+		kids[i] = randomExpr(s, depth+1, nvars)
+	}
+	if z%2 == 0 {
+		return And(kids)
+	}
+	return Or(kids)
 }
 
 func TestTruthTableVarsAccessor(t *testing.T) {
@@ -249,4 +319,28 @@ func BenchmarkTruthTableLookup(b *testing.B) {
 		sink = tt.Lookup(uint32(i) & 63)
 	}
 	_ = sink
+}
+
+// formula16 is a 16-predicate formula of the shape a pruned FILTER
+// compiles: an OR of ANDs over every variable, with constants folded in.
+func formula16() (Expr, []int) {
+	var or Or
+	for v := 0; v < 16; v += 4 {
+		or = append(or, And{Leaf{v}, Or{Leaf{v + 1}, Leaf{v + 2}}, Leaf{v + 3}, Const(true)})
+	}
+	vars := make([]int, 16)
+	for i := range vars {
+		vars[i] = i
+	}
+	return or, vars
+}
+
+func BenchmarkCompile16(b *testing.B) {
+	e, vars := formula16()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compile(e, vars); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

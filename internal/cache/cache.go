@@ -55,7 +55,7 @@ type Matrix struct {
 	policy Policy
 	vals   []uint64 // row-major d rows × w cols
 	fill   []int    // number of occupied columns in each row
-	seed   uint64
+	mixed  uint64   // hashutil.Premix of the row-selection seed
 }
 
 // NewMatrix creates a d-row, w-column cache with the given replacement
@@ -73,7 +73,7 @@ func NewMatrix(d, w int, policy Policy, seed uint64) (*Matrix, error) {
 		policy: policy,
 		vals:   make([]uint64, d*w),
 		fill:   make([]int, d),
-		seed:   seed,
+		mixed:  hashutil.Premix(seed),
 	}, nil
 }
 
@@ -88,7 +88,7 @@ func (m *Matrix) PolicyKind() Policy { return m.policy }
 
 // RowOf returns the row index value maps to.
 func (m *Matrix) RowOf(value uint64) int {
-	return hashutil.Reduce(hashutil.HashUint64(value, m.seed), m.d)
+	return hashutil.Reduce(hashutil.HashPremixed(value, m.mixed), m.d)
 }
 
 // Insert looks value up in its row and inserts it on a miss.
@@ -298,11 +298,11 @@ func (r *RollingMin) MemoryBits() int { return r.d * r.w * 64 }
 // exceed the cached max for its key is pruned; larger values update the
 // max and are forwarded so the master always holds the true per-key max.
 type KeyedMax struct {
-	d, w int
-	keys []uint64
-	vals []int64
-	fill []int
-	seed uint64
+	d, w  int
+	keys  []uint64
+	vals  []int64
+	fill  []int
+	mixed uint64 // hashutil.Premix of the row-selection seed
 }
 
 // NewKeyedMax creates the matrix.
@@ -312,10 +312,10 @@ func NewKeyedMax(d, w int, seed uint64) (*KeyedMax, error) {
 	}
 	return &KeyedMax{
 		d: d, w: w,
-		keys: make([]uint64, d*w),
-		vals: make([]int64, d*w),
-		fill: make([]int, d),
-		seed: seed,
+		keys:  make([]uint64, d*w),
+		vals:  make([]int64, d*w),
+		fill:  make([]int, d),
+		mixed: hashutil.Premix(seed),
 	}, nil
 }
 
@@ -329,7 +329,7 @@ func (k *KeyedMax) Cols() int { return k.w }
 // redundant (a same-key entry with value ≥ this one was already
 // forwarded) and false when the entry must be forwarded.
 func (k *KeyedMax) Offer(key uint64, value int64) (prune bool) {
-	row := hashutil.Reduce(hashutil.HashUint64(key, k.seed), k.d)
+	row := hashutil.Reduce(hashutil.HashPremixed(key, k.mixed), k.d)
 	base := row * k.w
 	n := k.fill[row]
 	for i := 0; i < n; i++ {

@@ -108,20 +108,12 @@ func accessorFor(t *table.Table, c int) colAcc {
 	return colAcc{ints: t.Int64Col(c)}
 }
 
-// fingerprintAccs is fingerprintRow over hoisted accessors; it must stay
-// bit-identical to fingerprintRow.
-func fingerprintAccs(accs []colAcc, r int, seed uint64) uint64 {
-	h := seed ^ 0xfeedface
-	for i := range accs {
-		var cell uint64
-		if accs[i].isStr {
-			cell = hashutil.HashString64(accs[i].strs[r], seed)
-		} else {
-			cell = hashutil.HashUint64(uint64(accs[i].ints[r]), seed)
-		}
-		h = hashutil.Mix64(h ^ cell)
+// cell renders row r's value as a result cell, as cellString does.
+func (a *colAcc) cell(r int) string {
+	if a.isStr {
+		return a.strs[r]
 	}
-	return h
+	return strconv.FormatInt(a.ints[r], 10)
 }
 
 // growProjected makes room in rows for extra more survivors. A regrowth
@@ -166,17 +158,19 @@ func rrStarts(lo, n, workers int) []int {
 
 // rowFP is fingerprintRow compiled to a direct (devirtualized) per-row
 // call, with the dominant single-column cases hoisted to a raw column
-// slice; it must stay bit-identical to fingerprintRow.
+// slice and the seed premixed for int64 cells; it must stay
+// bit-identical to fingerprintRow.
 type rowFP struct {
-	strs []string
-	ints []int64
-	accs []colAcc
-	seed uint64
-	h0   uint64
+	strs  []string
+	ints  []int64
+	accs  []colAcc
+	seed  uint64
+	mixed uint64 // hashutil.Premix(seed)
+	h0    uint64
 }
 
 func newRowFP(t *table.Table, cols []int, seed uint64) rowFP {
-	f := rowFP{seed: seed, h0: seed ^ 0xfeedface}
+	f := rowFP{seed: seed, mixed: hashutil.Premix(seed), h0: seed ^ 0xfeedface}
 	if len(cols) == 1 {
 		if t.ColumnType(cols[0]) == table.String {
 			f.strs = t.StringCol(cols[0])
@@ -197,9 +191,25 @@ func (f *rowFP) fp(r int) uint64 {
 		return hashutil.Mix64(f.h0 ^ hashutil.HashString64(f.strs[r], f.seed))
 	}
 	if f.ints != nil {
-		return hashutil.Mix64(f.h0 ^ hashutil.HashUint64(uint64(f.ints[r]), f.seed))
+		return hashutil.Mix64(f.h0 ^ hashutil.HashPremixed(uint64(f.ints[r]), f.mixed))
 	}
-	return fingerprintAccs(f.accs, r, f.seed)
+	return f.multi(r)
+}
+
+// multi fingerprints row r over the hoisted accessors of a multi-column
+// key.
+func (f *rowFP) multi(r int) uint64 {
+	h := f.h0
+	for i := range f.accs {
+		var cell uint64
+		if f.accs[i].isStr {
+			cell = hashutil.HashString64(f.accs[i].strs[r], f.seed)
+		} else {
+			cell = hashutil.HashPremixed(uint64(f.accs[i].ints[r]), f.mixed)
+		}
+		h = hashutil.Mix64(h ^ cell)
+	}
+	return h
 }
 
 // fill writes the fingerprints of rows into fps. It visits the
@@ -215,11 +225,11 @@ func (f *rowFP) fill(fps []uint64, rows []int, stride int) {
 			}
 		case f.ints != nil:
 			for i := w; i < len(rows); i += stride {
-				fps[i] = hashutil.Mix64(f.h0 ^ hashutil.HashUint64(uint64(f.ints[rows[i]]), f.seed))
+				fps[i] = hashutil.Mix64(f.h0 ^ hashutil.HashPremixed(uint64(f.ints[rows[i]]), f.mixed))
 			}
 		default:
 			for i := w; i < len(rows); i += stride {
-				fps[i] = fingerprintAccs(f.accs, rows[i], f.seed)
+				fps[i] = f.multi(rows[i])
 			}
 		}
 	}
@@ -948,39 +958,195 @@ func fusedGroupBySum(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 }
 
 // --- HAVING ------------------------------------------------------------
+//
+// HAVING completes in two passes (§4.3), and each does its per-row work
+// once. Pass 1 streams (key fingerprint, value) through the Count-Min
+// sketch and keeps every row's fingerprint; forwarded entries' keys
+// become candidates, numbered densely by a candTable that also records
+// each candidate's representative key (the key of its first forwarded
+// entry). Pass 2 reads the kept fingerprints instead of re-hashing, and
+// sums a candidate row into its slot when the row's key equals the
+// slot's representative. A row whose key differs shares a fingerprint
+// with another key; it is summed by key string in an overflow map, so
+// Results stay exact whatever collides.
+
+// candBucket is one candTable index bucket: a fingerprint and its
+// slot+1 (0 marks an empty bucket, since any fingerprint may be 0).
+type candBucket struct {
+	fp   uint64
+	slot int32
+}
+
+// candTable numbers candidate key fingerprints densely in insertion
+// order and keeps each slot's representative key. Its index is open
+// addressing over a power-of-two bucket array at most half full. Once
+// built it is only read, so every shard's pass 2 reads one table at once.
+type candTable struct {
+	index []candBucket
+	fps   []uint64 // slot → fingerprint
+	reps  colAcc   // slot → representative key
+}
+
+func newCandTable(strKey bool) *candTable {
+	return &candTable{index: make([]candBucket, 64), reps: colAcc{isStr: strKey}}
+}
+
+// size returns the number of slots.
+func (c *candTable) size() int { return len(c.fps) }
+
+// slot returns fp's slot, or -1 when fp is not a candidate.
+func (c *candTable) slot(fp uint64) int {
+	mask := uint64(len(c.index) - 1)
+	for b := fp & mask; ; b = (b + 1) & mask {
+		e := c.index[b]
+		if e.slot == 0 {
+			return -1
+		}
+		if e.fp == fp {
+			return int(e.slot - 1)
+		}
+	}
+}
+
+// add makes fp a candidate; when it is new, its slot's representative
+// is key's value at row r.
+func (c *candTable) add(fp uint64, key *colAcc, r int) {
+	mask := uint64(len(c.index) - 1)
+	b := fp & mask
+	for ; c.index[b].slot != 0; b = (b + 1) & mask {
+		if c.index[b].fp == fp {
+			return
+		}
+	}
+	c.fps = append(c.fps, fp)
+	c.index[b] = candBucket{fp: fp, slot: int32(len(c.fps))}
+	if key.isStr {
+		c.reps.strs = append(c.reps.strs, key.strs[r])
+	} else {
+		c.reps.ints = append(c.reps.ints, key.ints[r])
+	}
+	if 2*len(c.fps) > len(c.index) {
+		c.rehash(2 * len(c.index))
+	}
+}
+
+func (c *candTable) rehash(buckets int) {
+	c.index = make([]candBucket, buckets)
+	mask := uint64(buckets - 1)
+	for s, fp := range c.fps {
+		b := fp & mask
+		for c.index[b].slot != 0 {
+			b = (b + 1) & mask
+		}
+		c.index[b] = candBucket{fp: fp, slot: int32(s + 1)}
+	}
+}
+
+// union adds o's candidates, with their representatives, in o's slot
+// order.
+func (c *candTable) union(o *candTable) {
+	for s, fp := range o.fps {
+		c.add(fp, &o.reps, s)
+	}
+}
+
+// isRep reports whether row r's key is slot s's representative.
+func (c *candTable) isRep(s int, key *colAcc, r int) bool {
+	if key.isStr {
+		return key.strs[r] == c.reps.strs[s]
+	}
+	return key.ints[r] == c.reps.ints[s]
+}
+
+// havingSums is a pass 2's exact aggregate: the summed values of the
+// rows whose key is their slot's representative, the colliding rows'
+// values summed by key string, and the re-streamed row count.
+type havingSums struct {
+	slots    []int64
+	overflow map[string]int64
+	resent   int
+}
+
+// merge adds o into hs: slot sums by slot index (both were summed
+// against one candTable), overflow by key.
+func (hs *havingSums) merge(o havingSums) {
+	for s, v := range o.slots {
+		hs.slots[s] += v
+	}
+	if len(o.overflow) > 0 && hs.overflow == nil {
+		hs.overflow = make(map[string]int64, len(o.overflow))
+	}
+	for k, v := range o.overflow {
+		hs.overflow[k] += v
+	}
+	hs.resent += o.resent
+}
+
+// result keeps the keys whose exact sum exceeds threshold. Slot
+// representatives are distinct keys, and an overflow key differs from
+// its own fingerprint's representative, so no key is counted twice.
+func (hs *havingSums) result(col string, cand *candTable, threshold int64) *Result {
+	rows := make([][]string, 0, len(hs.slots)+len(hs.overflow))
+	for s, v := range hs.slots {
+		if v > threshold {
+			rows = append(rows, []string{cand.reps.cell(s)})
+		}
+	}
+	for k, v := range hs.overflow {
+		if v > threshold {
+			rows = append(rows, []string{k})
+		}
+	}
+	return sortedResult([]string{col}, rows)
+}
 
 // fusedHavingPass1 streams (key fingerprint, value) through the
-// Count-Min sketch in worker-interleave order, collecting candidate key
-// fingerprints.
-func fusedHavingPass1(t *table.Table, kc, vc int, seed uint64, h *prune.Having, workers int, flow Flow,
-	candidates map[uint64]bool) (sent, fwd int) {
+// Count-Min sketch in worker-interleave order. It returns every row's
+// key fingerprint, indexed by row, and the forwarded entries' candidate
+// table. The fingerprint slice is allocated per query: it dies with the
+// query instead of pinning a pool buffer the size of the largest table.
+func fusedHavingPass1(t *table.Table, kc, vc int, seed uint64, h *prune.Having, workers int, flow Flow) (fps []uint64, cand *candTable, fwd int) {
 	vals := t.Int64Col(vc)
+	key := accessorFor(t, kc)
+	fps = make([]uint64, t.NumRows())
+	cand = newCandTable(key.isStr)
 	s := newFPScan(t, []int{kc}, seed, workers, flow)
 	for s.next() {
 		for i, fp := range s.fps {
-			if h.FusedOffer(fp, vals[s.rows[i]]) {
+			r := s.rows[i]
+			fps[r] = fp
+			if h.FusedOffer(fp, vals[r]) {
 				continue
 			}
 			fwd++
-			candidates[fp] = true
+			cand.add(fp, &key, r)
 		}
 	}
-	return t.NumRows(), fwd
+	return fps, cand, fwd
 }
 
-// fusedHavingPass2 is the exact partial second pass: candidate keys'
-// entries re-stream and the master sums them exactly. No pruner state is
-// touched, so plain row order gives identical sums and counts.
-func fusedHavingPass2(t *table.Table, kc int, vals []int64, fpr *rowFP,
-	candidates map[uint64]bool, sums map[string]int64) (resent int) {
-	for r := 0; r < t.NumRows(); r++ {
-		if !candidates[fpr.fp(r)] {
+// fusedHavingPass2 is the exact partial second pass over the rows whose
+// pass-1 fingerprints are fps: candidate keys' entries re-stream and the
+// master sums them exactly. No pruner state is touched, so plain row
+// order gives identical sums and counts.
+func fusedHavingPass2(key colAcc, vals []int64, fps []uint64, cand *candTable) havingSums {
+	hs := havingSums{slots: make([]int64, cand.size())}
+	for r, fp := range fps {
+		s := cand.slot(fp)
+		if s < 0 {
 			continue
 		}
-		resent++
-		sums[cellString(t, kc, r)] += vals[r]
+		hs.resent++
+		if cand.isRep(s, &key, r) {
+			hs.slots[s] += vals[r]
+			continue
+		}
+		if hs.overflow == nil {
+			hs.overflow = map[string]int64{}
+		}
+		hs.overflow[key.cell(r)] += vals[r]
 	}
-	return resent
+	return hs
 }
 
 func fusedHaving(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
@@ -991,24 +1157,15 @@ func fusedHaving(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 	kc := q.Table.Schema().MustIndex(q.KeyCol)
 	vc := q.Table.Schema().MustIndex(q.AggCol)
 	run := &CheetahRun{PrunerName: h.Name()}
-	candidates := map[uint64]bool{}
-	sent, fwd := fusedHavingPass1(q.Table, kc, vc, opts.Seed, h, opts.Workers, opts.Flow, candidates)
+	fps, cand, fwd := fusedHavingPass1(q.Table, kc, vc, opts.Seed, h, opts.Workers, opts.Flow)
+	sent := q.Table.NumRows()
 	h.AddStats(uint64(sent), uint64(sent-fwd))
-	run.Traffic.EntriesSent = sent
+	hs := fusedHavingPass2(accessorFor(q.Table, kc), q.Table.Int64Col(vc), fps, cand)
+	run.Traffic.EntriesSent = sent + hs.resent
 	run.Traffic.Forwarded = fwd
-	sums := map[string]int64{}
-	fpr := newRowFP(q.Table, []int{kc}, opts.Seed)
-	resent := fusedHavingPass2(q.Table, kc, q.Table.Int64Col(vc), &fpr, candidates, sums)
-	run.Traffic.EntriesSent += resent
-	run.Traffic.SecondPassSent = resent
-	rows := make([][]string, 0, len(sums))
-	for k, v := range sums {
-		if v > q.Threshold {
-			rows = append(rows, []string{k})
-		}
-	}
-	run.Result = sortedResult([]string{q.KeyCol}, rows)
-	run.Traffic.MasterProcessed = resent
+	run.Traffic.SecondPassSent = hs.resent
+	run.Traffic.MasterProcessed = hs.resent
+	run.Result = hs.result(q.KeyCol, cand, q.Threshold)
 	run.Stats = h.Stats()
 	return run, true, nil
 }

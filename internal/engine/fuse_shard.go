@@ -167,18 +167,18 @@ func (se *shardExec) groupBySumPass(opts ShardedOptions, kc, vc int) (sums map[u
 }
 
 // havingCandidates runs one HAVING first-pass shard stream through the
-// shard's (threshold-tightened) sketch and returns its candidate
-// fingerprints. The exact second pass is pruner-free and shared with the
-// single-switch path (fusedHavingPass2).
-func (se *shardExec) havingCandidates(opts ShardedOptions, kc, vc int) (map[uint64]bool, error) {
+// shard's (threshold-tightened) sketch and returns the shard's row
+// fingerprints and candidate table. The exact second pass is
+// pruner-free and shared with the single-switch path (fusedHavingPass2).
+func (se *shardExec) havingCandidates(opts ShardedOptions, kc, vc int) ([]uint64, *candTable, error) {
 	h, err := shardProgram[*prune.Having](se)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	cand := make(map[uint64]bool, 1024)
-	sent, fwd := fusedHavingPass1(se.q.Table, kc, vc, opts.Seed, h, opts.Workers, se.flow, cand)
+	fps, cand, fwd := fusedHavingPass1(se.q.Table, kc, vc, opts.Seed, h, opts.Workers, se.flow)
+	sent := se.q.Table.NumRows()
 	h.AddStats(uint64(sent), uint64(sent-fwd))
 	se.traffic.EntriesSent = sent
 	se.traffic.Forwarded = fwd
-	return cand, nil
+	return fps, cand, nil
 }

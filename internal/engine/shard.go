@@ -825,18 +825,20 @@ func shardedGroupBySum(q *Query, execs []*shardExec, opts ShardedOptions) (*Shar
 }
 
 // shardedHaving runs per-shard sketches at the tightened ⌊T/k⌋
-// threshold, unions the candidate fingerprints, and re-streams every
-// shard against the global candidate set for exact sums.
+// threshold, unions the candidates into one slot table, and re-streams
+// every shard against it from the shard's pass-1 fingerprints; the
+// shards' slot sums add by slot index.
 func shardedHaving(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun, error) {
-	candidateSets := make([]map[uint64]bool, len(execs))
+	fps := make([][]uint64, len(execs))
+	cands := make([]*candTable, len(execs))
 	err := forEachShard(len(execs), func(s int) error {
 		se := execs[s]
 		qs := se.q
 		kc := qs.Table.Schema().MustIndex(qs.KeyCol)
 		vc := qs.Table.Schema().MustIndex(qs.AggCol)
 		return se.run(opts, func() error {
-			cand, err := se.havingCandidates(opts, kc, vc)
-			candidateSets[s] = cand
+			var err error
+			fps[s], cands[s], err = se.havingCandidates(opts, kc, vc)
 			return err
 		})
 	})
@@ -846,44 +848,31 @@ func shardedHaving(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedR
 	// Barrier: the second pass needs the union of every switch's
 	// candidates — a key's sum may cross the global threshold only in
 	// aggregate.
-	candidates := make(map[uint64]bool, 1024)
-	for _, cand := range candidateSets {
-		for fp := range cand {
-			candidates[fp] = true
-		}
+	cand := newCandTable(q.Table.ColumnType(q.Table.Schema().MustIndex(q.KeyCol)) == table.String)
+	for _, c := range cands {
+		cand.union(c)
 	}
-	sumsPer := make([]map[string]int64, len(execs))
+	parts := make([]havingSums, len(execs))
 	err = forEachShard(len(execs), func(s int) error {
 		se := execs[s]
 		qs := se.q
 		kc := qs.Table.Schema().MustIndex(qs.KeyCol)
 		vc := qs.Table.Schema().MustIndex(qs.AggCol)
 		// The exact pass is pruner-free, so no switch takes part.
-		fpr := newRowFP(qs.Table, []int{kc}, opts.Seed)
-		sums := make(map[string]int64, len(candidates))
-		resent := fusedHavingPass2(qs.Table, kc, qs.Table.Int64Col(vc), &fpr, candidates, sums)
-		se.traffic.EntriesSent += resent
-		se.traffic.SecondPassSent += resent
+		parts[s] = fusedHavingPass2(accessorFor(qs.Table, kc), qs.Table.Int64Col(vc), fps[s], cand)
+		se.traffic.EntriesSent += parts[s].resent
+		se.traffic.SecondPassSent += parts[s].resent
 		se.traffic.MasterProcessed = se.traffic.SecondPassSent
-		sumsPer[s] = sums
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	sums := make(map[string]int64, len(candidates))
-	for _, m := range sumsPer {
-		for k, v := range m {
-			sums[k] += v
-		}
+	sums := havingSums{slots: make([]int64, cand.size())}
+	for _, p := range parts {
+		sums.merge(p)
 	}
-	rows := make([][]string, 0, len(sums))
-	for k, v := range sums {
-		if v > q.Threshold {
-			rows = append(rows, []string{k})
-		}
-	}
-	run := &ShardedRun{Result: sortedResult([]string{q.KeyCol}, rows)}
+	run := &ShardedRun{Result: sums.result(q.KeyCol, cand, q.Threshold)}
 	for _, se := range execs {
 		run.Traffic.MasterProcessed += se.traffic.SecondPassSent
 	}

@@ -125,9 +125,18 @@ func HashString64(s string, seed uint64) uint64 {
 
 // HashUint64 hashes a fixed 64-bit value with a seed. It is the hot-path
 // hash for integer column values: one multiply-xor chain, zero allocations.
+// A caller hashing many values under one seed premixes it once (Premix)
+// and calls HashPremixed instead.
 func HashUint64(x, seed uint64) uint64 {
 	return Mix64(x ^ SplitMix64(seed))
 }
+
+// Premix returns the seed half of HashUint64, which depends on the seed
+// alone: HashPremixed(x, Premix(seed)) == HashUint64(x, seed).
+func Premix(seed uint64) uint64 { return SplitMix64(seed) }
+
+// HashPremixed is HashUint64 under a seed already premixed by Premix.
+func HashPremixed(x, premixed uint64) uint64 { return Mix64(x ^ premixed) }
 
 func round(acc, input uint64) uint64 {
 	acc += input * prime2
@@ -169,6 +178,7 @@ func le32String(s string) uint32 {
 // independently mixed seed.
 type Family struct {
 	seeds []uint64
+	mixed []uint64 // Premix(seeds[i]), so Uint64 mixes only the value
 }
 
 // NewFamily returns a family of h hash functions derived from seed.
@@ -177,11 +187,12 @@ func NewFamily(h int, seed uint64) *Family {
 	if h <= 0 {
 		panic("hashutil: family size must be positive")
 	}
-	f := &Family{seeds: make([]uint64, h)}
+	f := &Family{seeds: make([]uint64, h), mixed: make([]uint64, h)}
 	s := seed
 	for i := range f.seeds {
 		s = SplitMix64(s)
 		f.seeds[i] = s
+		f.mixed[i] = Premix(s)
 	}
 	return f
 }
@@ -191,7 +202,7 @@ func (f *Family) Size() int { return len(f.seeds) }
 
 // Uint64 returns the i-th hash of value x.
 func (f *Family) Uint64(i int, x uint64) uint64 {
-	return HashUint64(x, f.seeds[i])
+	return HashPremixed(x, f.mixed[i])
 }
 
 // Bytes returns the i-th hash of b.

@@ -149,6 +149,49 @@ func TestHashUint64AvalancheRough(t *testing.T) {
 	}
 }
 
+// hashUint64Golden pins HashUint64 (x, seed, hash) triples recorded
+// before the premixed form existed, so the hoist cannot drift the hash
+// every sketch, cache and shard placement is built on.
+var hashUint64Golden = [][3]uint64{
+	{0x0, 0x0, 0x9474f0eb06d79fd8},
+	{0x1, 0x0, 0x329d2532f4872b1b},
+	{0x0, 0x1, 0x1f72637756819f47},
+	{0xabcdef, 0x9, 0x745602739a48aba1},
+	{0xffffffffffffffff, 0xdeadbeef, 0x78b0319abc8a8ee7},
+	{0x2a, 0x5ca77e12c0ffee42, 0xa51a1e0c2ab5de5c},
+}
+
+func TestHashPremixedMatchesHashUint64(t *testing.T) {
+	for _, g := range hashUint64Golden {
+		if got := HashUint64(g[0], g[1]); got != g[2] {
+			t.Errorf("HashUint64(%#x, %#x) = %#x, want %#x", g[0], g[1], got, g[2])
+		}
+		if got := HashPremixed(g[0], Premix(g[1])); got != g[2] {
+			t.Errorf("HashPremixed(%#x, Premix(%#x)) = %#x, want %#x", g[0], g[1], got, g[2])
+		}
+	}
+	f := func(x, seed uint64) bool {
+		return HashPremixed(x, Premix(seed)) == HashUint64(x, seed)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10_000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestFamilyUint64Golden(t *testing.T) {
+	// Family members hash through their premixed seeds; the outputs are
+	// the ones recorded when every call re-mixed its seed.
+	f := NewFamily(3, 7)
+	for i, want := range []uint64{0x83ffcc9d625bb1b8, 0xf4b3f037bb14668f, 0x2324b66a60a90fa6} {
+		if got := f.Uint64(i, 12345); got != want {
+			t.Errorf("Family(3, 7).Uint64(%d, 12345) = %#x, want %#x", i, got, want)
+		}
+		if got, ref := f.Uint64(i, 12345), HashUint64(12345, f.seeds[i]); got != ref {
+			t.Errorf("member %d: %#x, HashUint64 with its seed %#x", i, got, ref)
+		}
+	}
+}
+
 func popcount(x uint64) int {
 	n := 0
 	for x != 0 {

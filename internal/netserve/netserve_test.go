@@ -10,13 +10,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"cheetah/internal/boolexpr"
 	"cheetah/internal/engine"
 	"cheetah/internal/plan"
+	"cheetah/internal/prune"
 	"cheetah/internal/table"
 	"cheetah/internal/wire"
 	"cheetah/internal/workload/multitenant"
@@ -427,5 +430,47 @@ func TestPingAndBadFrame(t *testing.T) {
 			t.Fatal("protocol violation not surfaced")
 		case <-time.After(5 * time.Millisecond):
 		}
+	}
+}
+
+// TestOversizedResultAnswersWithError pins the reply to a result whose
+// frame would exceed wire.MaxFrameLen: an invalid-request error for that
+// request ID, delivered well before the client's own timeout, on a
+// connection that stays usable.
+func TestOversizedResultAnswersWithError(t *testing.T) {
+	const cell = 1 << 20
+	big := table.MustNew(table.Schema{{Name: "v", Type: table.Int64}, {Name: "blob", Type: table.String}})
+	blob := string(make([]byte, cell))
+	rows := wire.MaxFrameLen/cell + 2
+	for i := 0; i < rows; i++ {
+		if err := big.AppendRow(int64(i), blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := Listen("127.0.0.1:0", Options{
+		Tables:  map[string]*table.Table{"big": big},
+		Primary: "big",
+		Plan:    plan.Options{Switches: 1, Seed: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cl := dialMix(t, srv, "t")
+	q := &engine.Query{
+		Kind:       engine.KindFilter,
+		Table:      big,
+		Predicates: []engine.FilterPred{{Col: "v", Op: prune.OpGE, Const: 0}},
+		Formula:    boolexpr.Leaf{V: 0},
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	_, err = cl.QueryEngine(ctx, q, "big", "", QueryOptions{})
+	var se *ServerError
+	if !errors.As(err, &se) || se.Code != wire.CodeInvalid || !strings.Contains(se.Msg, "MaxFrameLen") {
+		t.Fatalf("oversized result: want an invalid-request error naming MaxFrameLen, got %v", err)
+	}
+	if err := cl.Ping(ctx); err != nil {
+		t.Fatalf("connection unusable after the error: %v", err)
 	}
 }

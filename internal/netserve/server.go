@@ -605,7 +605,14 @@ func (c *conn) handleQuery(req *wire.QueryReq) {
 				})
 			}
 		}
-		_ = c.writeFrame(wire.FrameResult, res.EncodeBody(nil))
+		body := res.EncodeBody(nil)
+		if err := c.writeFrame(wire.FrameResult, body); errors.Is(err, wire.ErrFrameTooLarge) {
+			// Nothing of the frame was written, so the connection is
+			// still in sync: answer the request instead of leaving the
+			// client to time out.
+			c.writeError(req.ID, wire.CodeInvalid,
+				fmt.Sprintf("result of %d bytes exceeds MaxFrameLen (%d)", len(body), wire.MaxFrameLen))
+		}
 	}()
 }
 

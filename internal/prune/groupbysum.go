@@ -46,6 +46,7 @@ type GroupBySum struct {
 	sums  []int64
 	used  []bool
 	emit  []uint64 // scratch for the emitted (key, sum) pair
+	mixed uint64   // hashutil.Premix(cfg.Seed)
 	stats Stats
 }
 
@@ -56,11 +57,12 @@ func NewGroupBySum(cfg GroupBySumConfig) (*GroupBySum, error) {
 	}
 	n := cfg.Rows * cfg.Cols
 	return &GroupBySum{
-		cfg:  cfg,
-		keys: make([]uint64, n),
-		sums: make([]int64, n),
-		used: make([]bool, n),
-		emit: make([]uint64, 2),
+		cfg:   cfg,
+		keys:  make([]uint64, n),
+		sums:  make([]int64, n),
+		used:  make([]bool, n),
+		emit:  make([]uint64, 2),
+		mixed: hashutil.Premix(cfg.Seed),
 	}, nil
 }
 
@@ -97,7 +99,7 @@ func (p *GroupBySum) ProcessEmit(vals []uint64) (switchsim.Decision, []uint64) {
 	p.stats.Processed++
 	key := vals[0]
 	v := int64(vals[1])
-	row := hashutil.Reduce(hashutil.HashUint64(key, p.cfg.Seed), p.cfg.Rows)
+	row := hashutil.Reduce(hashutil.HashPremixed(key, p.mixed), p.cfg.Rows)
 	base := row * p.cfg.Cols
 	free := -1
 	for i := base; i < base+p.cfg.Cols; i++ {

@@ -106,7 +106,7 @@ func (b *Bloom) EstimateFalsePositiveRate(n int) float64 {
 type RegisterBloom struct {
 	words []uint64
 	h     int
-	seed  uint64
+	mixed uint64 // hashutil.Premix of the seed
 	count int
 }
 
@@ -120,13 +120,13 @@ func NewRegisterBloom(sizeBits int, h int, seed uint64) (*RegisterBloom, error) 
 		return nil, fmt.Errorf("sketch: register bloom needs 1..16 bits per key, got %d", h)
 	}
 	words := (sizeBits + 63) / 64
-	return &RegisterBloom{words: make([]uint64, words), h: h, seed: seed}, nil
+	return &RegisterBloom{words: make([]uint64, words), h: h, mixed: hashutil.Premix(seed)}, nil
 }
 
 // mask derives the word index and the h-bit in-word mask for key in one
 // 64-bit hash, mirroring the single-ALU datapath implementation.
 func (rb *RegisterBloom) mask(key uint64) (int, uint64) {
-	hv := hashutil.HashUint64(key, rb.seed)
+	hv := hashutil.HashPremixed(key, rb.mixed)
 	word := int(hashutil.ReduceFull(hv, uint64(len(rb.words))))
 	// Derive h bit positions from successive 6-bit nibbles of a second mix.
 	bitsrc := hashutil.Mix64(hv)

@@ -12,9 +12,10 @@ import (
 // the bits a switch can parse (§5, Example #8). Fingerprints of f bits are
 // the low f bits of a seeded 64-bit hash.
 type Fingerprinter struct {
-	bits uint
-	mask uint64
-	seed uint64
+	bits  uint
+	mask  uint64
+	seed  uint64
+	mixed uint64 // hashutil.Premix(seed), for the 64-bit key hashes
 }
 
 // NewFingerprinter creates a fingerprinter producing fingerprints of the
@@ -27,7 +28,7 @@ func NewFingerprinter(bits uint, seed uint64) (*Fingerprinter, error) {
 	if bits < 64 {
 		mask = (1 << bits) - 1
 	}
-	return &Fingerprinter{bits: bits, mask: mask, seed: seed}, nil
+	return &Fingerprinter{bits: bits, mask: mask, seed: seed, mixed: hashutil.Premix(seed)}, nil
 }
 
 // Bits returns the fingerprint length.
@@ -45,7 +46,7 @@ func (f *Fingerprinter) String(key string) uint64 {
 
 // Uint64 fingerprints a 64-bit key.
 func (f *Fingerprinter) Uint64(key uint64) uint64 {
-	return hashutil.HashUint64(key, f.seed) & f.mask
+	return hashutil.HashPremixed(key, f.mixed) & f.mask
 }
 
 // Columns fingerprints a multi-column key given as alternating 64-bit
@@ -54,7 +55,7 @@ func (f *Fingerprinter) Uint64(key uint64) uint64 {
 func (f *Fingerprinter) Columns(vals ...uint64) uint64 {
 	h := f.seed
 	for _, v := range vals {
-		h = hashutil.Mix64(h ^ hashutil.HashUint64(v, f.seed))
+		h = hashutil.Mix64(h ^ hashutil.HashPremixed(v, f.mixed))
 	}
 	return h & f.mask
 }

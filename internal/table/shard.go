@@ -58,8 +58,9 @@ func (t *Table) HashShardRows(col string, k int) ([][]int, error) {
 	assign := make([]int32, t.n)
 	switch t.cols[ci].typ {
 	case Int64:
+		mixed := hashutil.Premix(shardSeed)
 		for r, v := range t.Int64Col(ci) {
-			assign[r] = int32(hashutil.ReduceFull(hashutil.HashUint64(uint64(v), shardSeed), uint64(k)))
+			assign[r] = int32(hashutil.ReduceFull(hashutil.HashPremixed(uint64(v), mixed), uint64(k)))
 		}
 	case String:
 		for r, v := range t.StringCol(ci) {
